@@ -11,10 +11,8 @@ evaluation, and brute-force oracles for desk-scale verification.
 
 from .classnet import (
     ClassId,
-    ClassWeights,
     CompetitorSequence,
     TableKernel,
-    TransitionKernel,
     advance,
     complexity,
     expert_marginals,
@@ -58,7 +56,6 @@ from .feedback import (
     full_feedback,
     identity_feedback,
     observation_probabilities,
-    sample_observations,
 )
 from .feedback import validate as validate_feedback
 from .learner import (
@@ -68,7 +65,6 @@ from .learner import (
     epsilon_schedule,
     estimate,
     init_state,
-    policy,
     select,
     step,
     update_rate,

@@ -2,24 +2,24 @@
 
 Competitor sequences are grouped into equivalence classes keyed by the
 parameters active at each round (at minimum the currently selected
-expert). A transition kernel is a Markov prior over class successions:
-its initial distribution plus row-stochastic transition weights
-implicitly assign a prior weight to every competitor sequence, and the
-negative log of that path weight measures how hard the competitor is to
-track.
+expert). A kernel is a Markov prior over class successions: its initial
+distribution plus one row-stochastic transition table, the same at every
+round, implicitly assign a prior weight to every competitor sequence, and
+the negative log of that path weight measures how hard the competitor is
+to track.
 
-Class weights live in the natural-log domain: the exponential update can
-reach ``exp(-eta * M * range / eps)`` scales that underflow linear
-arithmetic. Each update applies the exponential step at the previous
-learning rate, rescales the accumulated mass by the rate ratio so that
-past updates stay consistent when the rate drops, then mixes through the
-kernel.
+Class weights are a plain array of natural-log weights over the kernel's
+classes; a class without mass holds ``-inf``. The log domain is needed
+because the exponential update can reach ``exp(-eta * M * range / eps)``
+scales that underflow linear arithmetic. Each update applies the
+exponential step at the previous learning rate, rescales the accumulated
+mass by the rate ratio so that past updates stay consistent when the rate
+drops, then mixes through the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,88 +69,15 @@ class ClassId:
     tag: str | None = None
 
 
-class TransitionKernel(ABC):
-    """Markov prior over equivalence-class successions.
+class TableKernel:
+    """Time-invariant Markov prior over class successions.
 
-    ``class_set(t)`` enumerates the classes available at round ``t >= 1``;
-    ``initial_prior`` is the distribution over ``class_set(1)``; and
-    ``transition`` gives the row distribution from a class at round ``t``
-    to ``class_set(t + 1)``. ``max_class_count(T)`` is the largest class
-    set among rounds ``0..T-1``, where round 0 is the virtual root (size 1).
-    Kernels are immutable and freely shareable across runs.
+    ``classes`` is the class list, ``prior`` the initial distribution over
+    it and ``matrix`` the row-stochastic transition table (rows are
+    predecessors); ``log_matrix`` holds its logs with zeros as ``-inf``.
+    ``experts[i]`` is the expert of ``classes[i]``. Kernels are immutable
+    and freely shareable across runs.
     """
-
-    @property
-    @abstractmethod
-    def n_experts(self) -> int: ...
-
-    @abstractmethod
-    def class_set(self, t: int) -> tuple[ClassId, ...]: ...
-
-    @abstractmethod
-    def initial_prior(self) -> np.ndarray: ...
-
-    @abstractmethod
-    def transition(self, class_id: ClassId, t: int) -> dict[ClassId, float]: ...
-
-    @abstractmethod
-    def max_class_count(self, horizon: int) -> int: ...
-
-    # Dense views used by the weight update. The generic implementations
-    # rebuild arrays on every call; concrete kernels cache them.
-
-    def class_index(self, t: int) -> dict[ClassId, int]:
-        return {c: i for i, c in enumerate(self.class_set(t))}
-
-    def class_experts(self, t: int) -> np.ndarray:
-        return np.array([c.expert for c in self.class_set(t)], dtype=int)
-
-    def log_transition_matrix(self, t: int) -> np.ndarray:
-        """Log transition weights, rows over class_set(t), columns over
-        class_set(t + 1); zero weights map to -inf."""
-        rows = self.class_set(t)
-        cols = self.class_index(t + 1)
-        out = np.zeros((len(rows), len(cols)))
-        for i, c in enumerate(rows):
-            for succ, w in self.transition(c, t).items():
-                out[i, cols[succ]] = w
-        with np.errstate(divide="ignore"):
-            return np.log(out)
-
-    def unique_class_for_expert(self, t: int, expert: int) -> ClassId:
-        matches = [c for c in self.class_set(t) if c.expert == expert]
-        if len(matches) != 1:
-            raise ClassNetError(
-                f"expert {expert} maps to {len(matches)} classes at round {t}; "
-                "an explicit class sequence is required"
-            )
-        return matches[0]
-
-    def path_log_factors(self, classes: tuple[ClassId, ...]) -> np.ndarray:
-        """Per-round log prior factors of a class path; the round-1 factor is
-        the initial prior."""
-        if not classes:
-            raise ClassNetError("empty competitor sequence")
-        idx1 = self.class_index(1)
-        if classes[0] not in idx1:
-            raise ZeroTransitionError(f"{classes[0]} is not in the round-1 class set")
-        first = float(self.initial_prior()[idx1[classes[0]]])
-        if first <= 0.0:
-            raise ZeroTransitionError(f"{classes[0]} has zero initial prior")
-        factors = [math.log(first)]
-        for t in range(2, len(classes) + 1):
-            weight = self.transition(classes[t - 2], t - 1).get(classes[t - 1], 0.0)
-            if weight <= 0.0:
-                raise ZeroTransitionError(
-                    f"zero transition weight into {classes[t - 1]} at round {t}"
-                )
-            factors.append(math.log(weight))
-        return np.array(factors)
-
-
-class TableKernel(TransitionKernel):
-    """Time-invariant kernel given by an explicit class list, an initial
-    prior, and one row-stochastic transition table."""
 
     def __init__(
         self,
@@ -171,6 +98,8 @@ class TableKernel(TransitionKernel):
             raise ClassNetError(f"prior has shape {prior.shape}, expected ({n},)")
         if matrix.shape != (n, n):
             raise ClassNetError(f"transition table has shape {matrix.shape}, expected ({n}, {n})")
+        if not (np.all(np.isfinite(prior)) and np.all(np.isfinite(matrix))):
+            raise ClassNetError("kernel weights must be finite")
         if np.any(prior < 0.0) or np.any(matrix < 0.0):
             raise ClassNetError("kernel weights must be nonnegative")
         if abs(prior.sum() - 1.0) > SUM_TOLERANCE:
@@ -183,52 +112,29 @@ class TableKernel(TransitionKernel):
             )
         experts = np.array([c.expert for c in classes], dtype=int)
         inferred = int(experts.max()) + 1
-        self._n_experts = inferred if n_experts is None else int(n_experts)
-        if np.any(experts < 0) or np.any(experts >= self._n_experts):
+        self.n_experts = inferred if n_experts is None else int(n_experts)
+        if np.any(experts < 0) or np.any(experts >= self.n_experts):
             raise ClassNetError("class expert index out of range")
-        self._classes = classes
-        self._prior = prior
-        self._matrix = matrix
-        self._experts = experts
-        self._index = {c: i for i, c in enumerate(classes)}
+        self.classes = classes
+        self.prior = prior
+        self.matrix = matrix
+        self.experts = experts
         with np.errstate(divide="ignore"):
-            self._log_matrix = np.log(matrix)
+            self.log_matrix = np.log(matrix)
+        self._index = {c: i for i, c in enumerate(classes)}
         by_expert: dict[int, list[ClassId]] = {}
         for c in classes:
             by_expert.setdefault(c.expert, []).append(c)
         self._by_expert = by_expert
 
-    @property
-    def n_experts(self) -> int:
-        return self._n_experts
-
-    def class_set(self, t: int) -> tuple[ClassId, ...]:
-        return self._classes
-
-    def initial_prior(self) -> np.ndarray:
-        return self._prior
-
-    def transition(self, class_id: ClassId, t: int) -> dict[ClassId, float]:
-        row = self._matrix[self._index[class_id]]
-        return {c: float(w) for c, w in zip(self._classes, row) if w > 0.0}
-
-    def max_class_count(self, horizon: int) -> int:
-        # |class_set(0)| = 1 (virtual root), so a one-round horizon sees
-        # only the root.
+    def class_count(self, horizon: int) -> int:
+        """Class-set size entering the complexity of a ``horizon``-round
+        path. A one-round horizon sees only the virtual root, of size 1."""
         if horizon < 1:
             raise ClassNetError("horizon must be at least 1")
-        return 1 if horizon == 1 else len(self._classes)
+        return 1 if horizon == 1 else len(self.classes)
 
-    def class_index(self, t: int) -> dict[ClassId, int]:
-        return self._index
-
-    def class_experts(self, t: int) -> np.ndarray:
-        return self._experts
-
-    def log_transition_matrix(self, t: int) -> np.ndarray:
-        return self._log_matrix
-
-    def unique_class_for_expert(self, t: int, expert: int) -> ClassId:
+    def unique_class_for_expert(self, expert: int) -> ClassId:
         matches = self._by_expert.get(expert, [])
         if len(matches) != 1:
             raise ClassNetError(
@@ -238,12 +144,14 @@ class TableKernel(TransitionKernel):
         return matches[0]
 
     def path_log_factors(self, classes: tuple[ClassId, ...]) -> np.ndarray:
+        """Per-round log prior factors of a class path; the round-1 factor is
+        the initial prior."""
         pos = np.array([self._index[c] for c in classes], dtype=int)
         logs = np.empty(len(classes))
         with np.errstate(divide="ignore"):
-            logs[0] = np.log(self._prior[pos[0]])
+            logs[0] = np.log(self.prior[pos[0]])
             if len(classes) > 1:
-                logs[1:] = self._log_matrix[pos[:-1], pos[1:]]
+                logs[1:] = self.log_matrix[pos[:-1], pos[1:]]
         if not np.all(np.isfinite(logs)):
             t = int(np.flatnonzero(~np.isfinite(logs))[0])
             raise ZeroTransitionError(
@@ -279,63 +187,20 @@ def fixed_share_kernel(n_experts: int, alpha: float) -> TableKernel:
     return TableKernel(classes, prior, matrix, n_experts)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassWeights:
-    """Log-domain weights over the currently active classes at round ``round``.
-
-    Zero-weight classes are dropped, so every stored log weight is finite.
-    All downstream probabilities are invariant to adding a constant to
-    every log weight. ``experts`` mirrors ``classes`` and may be passed in
-    precomputed (kernels cache it); it is derived otherwise.
-    """
-
-    classes: tuple[ClassId, ...]
-    log_w: np.ndarray
-    round: int
-    n_experts: int
-    experts: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        log_w = np.asarray(self.log_w, dtype=float)
-        if len(self.classes) != log_w.shape[0]:
-            raise ClassNetError("classes and log weights disagree in length")
-        if log_w.size and not np.all(np.isfinite(log_w)):
-            raise ClassNetError("log weights must be finite; drop zero-weight classes")
-        object.__setattr__(self, "log_w", log_w)
-        if self.experts is None:
-            object.__setattr__(
-                self, "experts", np.array([c.expert for c in self.classes], dtype=int)
-            )
-
-    def as_dict(self) -> dict[ClassId, float]:
-        return dict(zip(self.classes, self.log_w.tolist()))
-
-
-def init_weights(kernel: TransitionKernel) -> ClassWeights:
-    """Round-1 weights: the log of the kernel's initial prior, with
-    zero-prior classes dropped."""
-    classes = kernel.class_set(1)
-    if not classes:
-        raise EmptyClassSetError("kernel has an empty round-1 class set")
-    prior = kernel.initial_prior()
-    keep = prior > 0.0
-    if not keep.any():
-        raise EmptyClassSetError("initial prior carries no mass")
-    if keep.all():
-        return ClassWeights(
-            classes, np.log(prior), 1, kernel.n_experts, kernel.class_experts(1)
-        )
-    kept = tuple(c for c, k in zip(classes, keep) if k)
-    return ClassWeights(kept, np.log(prior[keep]), 1, kernel.n_experts)
+def init_weights(kernel: TableKernel) -> np.ndarray:
+    """Round-1 log weights: the log of the kernel's initial prior, ``-inf``
+    for zero-prior classes."""
+    with np.errstate(divide="ignore"):
+        return np.log(kernel.prior)
 
 
 def advance(
-    weights: ClassWeights,
+    log_w: np.ndarray,
     phi: np.ndarray,
     eta_prev: float,
     eta_new: float,
-    kernel: TransitionKernel,
-) -> ClassWeights:
+    kernel: TableKernel,
+) -> np.ndarray:
     """One weight update: exponential step, rate-ratio power correction,
     kernel mixing.
 
@@ -343,7 +208,8 @@ def advance(
     then for each successor class the new log weight is the logsumexp over
     predecessors of ``log T(succ | pred) + (eta_new / eta_prev) * log z``.
     The result is shifted so its maximum is 0, which leaves probabilities
-    untouched.
+    untouched. All probabilities are invariant to adding a constant to
+    every log weight.
     """
     phi = np.asarray(phi, dtype=float)
     if np.any(phi < 0.0):
@@ -352,43 +218,22 @@ def advance(
         raise ClassNetError("learning rates must be positive")
     if eta_new > eta_prev * (1.0 + RATE_INCREASE_SLACK):
         raise RateIncreaseError(f"rate increased from {eta_prev} to {eta_new}")
-    t = weights.round
-    full_matrix = kernel.log_transition_matrix(t)
-    if weights.classes is kernel.class_set(t):
-        rows = full_matrix
-    else:
-        index = kernel.class_index(t)
-        positions = np.fromiter(
-            (index[c] for c in weights.classes), dtype=int, count=len(weights.classes)
-        )
-        rows = full_matrix[positions, :]
-    log_z = weights.log_w - eta_prev * phi[weights.experts]
+    log_z = log_w - eta_prev * phi[kernel.experts]
     scaled = (eta_new / eta_prev) * log_z
-    new_log = logsumexp(rows + scaled[:, None], axis=0)
-    keep = np.isfinite(new_log)
-    if not keep.any():
-        raise EmptyClassSetError(f"all classes lost their mass advancing to round {t + 1}")
-    successors = kernel.class_set(t + 1)
-    if keep.all():
-        out = new_log - new_log.max()
-        return ClassWeights(
-            successors, out, t + 1, weights.n_experts, kernel.class_experts(t + 1)
-        )
-    kept = tuple(c for c, k in zip(successors, keep) if k)
-    out = new_log[keep]
-    out = out - out.max()
-    return ClassWeights(kept, out, t + 1, weights.n_experts)
+    new_log = logsumexp(kernel.log_matrix + scaled[:, None], axis=0)
+    top = new_log.max()
+    if top == -math.inf:
+        raise EmptyClassSetError("all classes lost their mass")
+    return new_log - top
 
 
-def expert_marginals(weights: ClassWeights) -> np.ndarray:
+def expert_marginals(log_w: np.ndarray, kernel: TableKernel) -> np.ndarray:
     """Probability over experts obtained by summing class weights per expert
-    and normalizing. Experts with no active class get probability 0."""
-    if not weights.classes:
-        raise EmptyClassSetError("cannot marginalize empty weights")
+    and normalizing. Experts with no class mass get probability 0."""
     # exponentiate against the max before grouping; log weights are kept
     # max-normalized by advance, so this is as stable as a grouped logsumexp
-    mass = np.exp(weights.log_w - weights.log_w.max())
-    per_expert = np.bincount(weights.experts, weights=mass, minlength=weights.n_experts)
+    mass = np.exp(log_w - log_w.max())
+    per_expert = np.bincount(kernel.experts, weights=mass, minlength=kernel.n_experts)
     return per_expert / per_expert.sum()
 
 
@@ -414,20 +259,17 @@ class CompetitorSequence:
 
     @classmethod
     def from_experts(
-        cls, experts: np.ndarray | list[int], kernel: TransitionKernel
+        cls, experts: np.ndarray | list[int], kernel: TableKernel
     ) -> "CompetitorSequence":
-        classes = tuple(
-            kernel.unique_class_for_expert(t + 1, int(e)) for t, e in enumerate(experts)
-        )
-        return cls(classes)
+        return cls(tuple(kernel.unique_class_for_expert(int(e)) for e in experts))
 
 
-def complexity(kernel: TransitionKernel, competitor: CompetitorSequence) -> float:
-    """Tracking complexity of a competitor: log of the largest class-set
-    size seen, minus the log prior weight of its class path (the initial
-    prior is the round-1 factor).
+def complexity(kernel: TableKernel, competitor: CompetitorSequence) -> float:
+    """Tracking complexity of a competitor: log of the class count, minus
+    the log prior weight of its class path (the initial prior is the
+    round-1 factor).
 
     Raises ``ZeroTransitionError`` if the path leaves the kernel's support.
     """
     factors = kernel.path_log_factors(competitor.classes)
-    return math.log(kernel.max_class_count(len(competitor))) - float(factors.sum())
+    return math.log(kernel.class_count(len(competitor))) - float(factors.sum())

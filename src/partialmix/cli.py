@@ -29,6 +29,7 @@ from .evaluation import (
     RunResult,
     fit_scaling,
     monte_carlo,
+    play_and_score,
     realized_regret,
     summarize_runs,
 )
@@ -156,26 +157,9 @@ def _cmd_batch(cfg: ExperimentConfig, args) -> int:
     if cfg.write_rounds:
         results: list[RunResult] = []
         for i in range(cfg.runs):
-            seed = cfg.seed + i
-            transcript = run_game(
-                cfg.learner, cfg.loss_process, cfg.feedback_process, cfg.horizon, seed
-            )
-            competitor = resolve_competitor(
-                cfg.competitor, transcript.losses, cfg.learner.kernel
-            )
-            report = realized_regret(transcript, competitor, with_diagnostics=False)
+            transcript, competitor, result = play_and_score(bundle, cfg.seed + i)
             write_rounds_csv(out / f"run_{i:04d}.csv", transcript, competitor, run_index=i)
-            results.append(
-                RunResult(
-                    seed=seed,
-                    regret=report.realized_regret,
-                    normalized_regret=report.normalized_regret,
-                    learner_loss=report.learner_loss,
-                    competitor_loss=report.competitor_loss,
-                    complexity=report.complexity,
-                    n_switches=competitor.n_switches,
-                )
-            )
+            results.append(result)
         summary = summarize_runs(bundle, results)
     else:
         summary, _ = monte_carlo(bundle, cfg.runs, base_seed=cfg.seed, n_workers=args.threads)
@@ -245,14 +229,13 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_validate(cfg: ExperimentConfig | None, args) -> int:
+    if args.runs is not None:
+        raise ConfigError("--runs", "validate has no seed count")
+    # keys were checked at parse time; missing ones take the suite defaults
     options = dict(cfg.validate_options) if cfg is not None else {}
-    results = run_validation_suite(
-        oracle_instances=int(options.get("oracle_instances", 25)),
-        lemma_configs=int(options.get("lemma_configs", 20)),
-        lemma_horizon=int(options.get("lemma_horizon", 500)),
-        affine_horizon=int(options.get("affine_horizon", 500)),
-        seed=int(options.get("seed", 1234)),
-    )
+    if args.seed is not None:
+        options["seed"] = args.seed
+    results = run_validation_suite(**options)
     failed = 0
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -274,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config, help="experiment config JSON")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="base seed (overrides config)")
-        p.add_argument("--runs", type=int, help="seed count (overrides config)")
+        p.add_argument("--runs", type=int, help="seed count (overrides config; not for validate)")
         p.add_argument("--threads", type=int, default=1, help="worker processes for batches")
     return parser
 
@@ -282,15 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
+        if args.runs is not None and args.runs < 1:
+            raise ConfigError("--runs", f"must be at least 1, got {args.runs}")
         cfg = load_config(args.config) if args.config else None
-        if cfg is not None:
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.runs is not None:
-                cfg.runs = args.runs
         if args.command == "validate":
             return _cmd_validate(cfg, args)
         assert cfg is not None
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.runs is not None:
+            cfg.runs = args.runs
         if args.command == "run":
             return _cmd_run(cfg, args)
         if args.command == "batch":

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import feedback as fb
-from .classnet import ClassId, TableKernel, TransitionKernel, fixed_kernel, fixed_share_kernel
+from .classnet import ClassId, TableKernel, fixed_kernel, fixed_share_kernel
 from .environment import (
     BernoulliArm,
     CompetitorSpec,
@@ -58,10 +59,17 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    # json.load accepts NaN, Infinity and integers beyond the float range
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
-def _as_dict(value, path: str) -> dict:
+def _as_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, f"expected an object, got {type(value).__name__}")
     return value
@@ -80,8 +88,8 @@ def _expert_index(value, path: str, n_experts: int) -> int:
     return idx - 1
 
 
-def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TransitionKernel:
-    spec = _as_dict(spec, path)
+def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TableKernel:
+    spec = _as_object(spec, path)
     kind = _require(spec, "type", path)
     if kind == "fixed":
         return fixed_kernel(n_experts)
@@ -94,7 +102,7 @@ def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TransitionKernel
         raw_classes = _as_list(_require(spec, "classes", path), f"{path}.classes")
         classes = []
         for i, c in enumerate(raw_classes):
-            c = _as_dict(c, f"{path}.classes[{i}]")
+            c = _as_object(c, f"{path}.classes[{i}]")
             expert = _expert_index(
                 _require(c, "expert", f"{path}.classes[{i}]"),
                 f"{path}.classes[{i}].expert",
@@ -122,7 +130,7 @@ def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TransitionKernel
 
 
 def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
-    spec = _as_dict(spec, path)
+    spec = _as_object(spec, path)
     kind = _require(spec, "kind", path)
     raw_range = _as_list(_require(spec, "range", path), f"{path}.range")
     if len(raw_range) != 2:
@@ -154,7 +162,7 @@ def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
                 raise ConfigError(f"{path}.arms", f"need {n_experts} arms, got {len(raw_arms)}")
             arms: list[UniformArm | BernoulliArm] = []
             for i, a in enumerate(raw_arms):
-                a = _as_dict(a, f"{path}.arms[{i}]")
+                a = _as_object(a, f"{path}.arms[{i}]")
                 dist = _require(a, "dist", f"{path}.arms[{i}]")
                 if dist == "uniform":
                     arms.append(
@@ -202,7 +210,7 @@ def _load_loss_csv(path_value, path: str) -> np.ndarray:
 
 
 def parse_feedback_process(spec, n_experts: int, path: str = "feedback") -> FeedbackProcess:
-    spec = _as_dict(spec, path)
+    spec = _as_object(spec, path)
     kind = _require(spec, "kind", path)
     if kind == "bandit":
         return bandit_feedback(n_experts)
@@ -241,7 +249,7 @@ def parse_feedback_process(spec, n_experts: int, path: str = "feedback") -> Feed
 
 
 def parse_competitor(spec, n_experts: int, path: str = "competitor") -> CompetitorSpec:
-    spec = _as_dict(spec, path)
+    spec = _as_object(spec, path)
     kind = _require(spec, "kind", path)
     try:
         if kind == "fixed":
@@ -267,6 +275,30 @@ def parse_competitor(spec, n_experts: int, path: str = "competitor") -> Competit
     raise ConfigError(f"{path}.kind", f"unknown competitor kind {kind!r}")
 
 
+# smallest accepted value of each ``validate`` option; a lemma run draws up
+# to 3 distinct switch rounds from 1..T-1, so it needs T >= 4
+VALIDATE_MINIMUMS = {
+    "seed": 0,
+    "oracle_instances": 0,
+    "lemma_configs": 0,
+    "lemma_horizon": 4,
+    "affine_horizon": 1,
+}
+
+
+def _parse_validate(spec) -> dict:
+    """Checked options of the ``validate`` subcommand; absent keys keep the
+    defaults of ``run_validation_suite``."""
+    spec = _as_object(spec, "validate")
+    for key in spec:
+        if key not in VALIDATE_MINIMUMS:
+            raise ConfigError(f"validate.{key}", "unknown validate option")
+    return {
+        key: _as_int(value, f"validate.{key}", VALIDATE_MINIMUMS[key])
+        for key, value in spec.items()
+    }
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     """Parsed experiment: learner, environment, competitor, seeds, output."""
@@ -288,7 +320,7 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    raw = _as_dict(raw, "config")
+    raw = _as_object(raw, "config")
     n_experts = _as_int(_require(raw, "experts", "config"), "experts", 1)
     horizon = _as_int(_require(raw, "horizon", "config"), "horizon", 1)
     kernel = parse_kernel(_require(raw, "kernel", "config"), n_experts)
@@ -341,7 +373,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sweep_horizons = None
     sweep_runs = None
     if "sweep" in raw:
-        sweep = _as_dict(raw["sweep"], "sweep")
+        sweep = _as_object(raw["sweep"], "sweep")
         sweep_horizons = tuple(
             _as_int(h, f"sweep.horizons[{i}]", 1)
             for i, h in enumerate(_as_list(_require(sweep, "horizons", "sweep"), "sweep.horizons"))
@@ -350,9 +382,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("sweep.horizons", "needs at least one horizon")
         if "runs" in sweep:
             sweep_runs = _as_int(sweep["runs"], "sweep.runs", 1)
-    validate_options = raw.get("validate", {})
-    if not isinstance(validate_options, dict):
-        raise ConfigError("validate", "expected an object")
+    validate_options = _parse_validate(raw.get("validate", {}))
     return ExperimentConfig(
         n_experts=n_experts,
         horizon=horizon,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import feedback as fb
-from .classnet import CompetitorSequence, TransitionKernel
+from .classnet import CompetitorSequence, TableKernel
 from .learner import LearnerConfig, RoundRecord, init_state, step
 
 
@@ -65,6 +65,8 @@ class ScriptedLosses(LossProcess):
             raise EnvironmentError_(f"scripted losses must be a T x M matrix, got {values.shape}")
         low, high = float(loss_range[0]), float(loss_range[1])
         self._check_range(low, high)
+        if not np.all(np.isfinite(values)):
+            raise EnvironmentError_("scripted losses must be finite")
         if np.any(values < low) or np.any(values > high):
             raise EnvironmentError_("scripted losses leave the declared range")
         self._values = values
@@ -349,7 +351,7 @@ def run_game(
 
 
 def best_competitor(
-    losses: np.ndarray, kernel: TransitionKernel, max_switches: int
+    losses: np.ndarray, kernel: TableKernel, max_switches: int
 ) -> CompetitorSequence:
     """Loss-minimizing expert sequence with at most ``max_switches`` switches,
     by dynamic programming over (round, arm, switch budget). Hindsight
@@ -420,7 +422,7 @@ class CompetitorSpec:
 
 
 def resolve_competitor(
-    spec: CompetitorSpec, losses: np.ndarray, kernel: TransitionKernel
+    spec: CompetitorSpec, losses: np.ndarray, kernel: TableKernel
 ) -> CompetitorSequence:
     horizon = losses.shape[0]
     if spec.kind == "fixed":

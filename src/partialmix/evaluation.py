@@ -18,7 +18,7 @@ import numpy as np
 
 from .classnet import (
     CompetitorSequence,
-    TransitionKernel,
+    TableKernel,
     ZeroTransitionError,
     complexity,
 )
@@ -87,7 +87,7 @@ def _verdict(name: str, lhs: np.ndarray, rhs: np.ndarray) -> LemmaCheck:
 def check_lemmas(
     transcript: GameTranscript,
     competitor: CompetitorSequence,
-    kernel: TransitionKernel | None = None,
+    kernel: TableKernel | None = None,
     gamma: float | None = None,
 ) -> LemmaDiagnostics:
     """Evaluate the four per-run inequalities at every prefix horizon.
@@ -145,7 +145,7 @@ def check_lemmas(
     experts = competitor.experts
     inst = np.einsum("tm,tm->t", p, phi) - phi[np.arange(horizon), experts]
     log_counts = np.array(
-        [math.log(kernel.max_class_count(t)) for t in range(1, horizon + 1)]
+        [math.log(kernel.class_count(t)) for t in range(1, horizon + 1)]
     )
     w_prefix = log_counts - np.cumsum(kernel.path_log_factors(competitor.classes))
     tracking = _verdict(
@@ -259,8 +259,9 @@ def realized_regret(
     )
     if budget_exceeded:
         warnings.warn(
-            f"competitor complexity {w_realized:.4g} exceeds the budget "
-            f"{config.w_budget:.4g}; the regret guarantee lapses",
+            f"competitor complexity {w_realized:.17g} exceeds the budget "
+            f"{config.w_budget:.17g} by {w_realized - config.w_budget:.17g}; "
+            "the regret guarantee lapses",
             stacklevel=2,
         )
     eps = np.array([r.epsilon_t for r in transcript.records])
@@ -323,7 +324,11 @@ class BatchSummary:
     std_error_defined: bool
 
 
-def _run_one(bundle: ExperimentBundle, seed: int) -> RunResult:
+def play_and_score(
+    bundle: ExperimentBundle, seed: int
+) -> tuple[GameTranscript, CompetitorSequence, RunResult]:
+    """Play one seeded game, resolve its competitor and score it without
+    diagnostics."""
     transcript = run_game(
         bundle.learner_config,
         bundle.loss_process,
@@ -334,7 +339,7 @@ def _run_one(bundle: ExperimentBundle, seed: int) -> RunResult:
     kernel = bundle.learner_config.kernel
     competitor = resolve_competitor(bundle.competitor, transcript.losses, kernel)
     report = realized_regret(transcript, competitor, with_diagnostics=False)
-    return RunResult(
+    result = RunResult(
         seed=seed,
         regret=report.realized_regret,
         normalized_regret=report.normalized_regret,
@@ -343,6 +348,12 @@ def _run_one(bundle: ExperimentBundle, seed: int) -> RunResult:
         complexity=report.complexity,
         n_switches=competitor.n_switches,
     )
+    return transcript, competitor, result
+
+
+def _run_one(bundle: ExperimentBundle, seed: int) -> RunResult:
+    # top level so that the process pool can pickle it
+    return play_and_score(bundle, seed)[2]
 
 
 def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchSummary:

@@ -73,7 +73,8 @@ def validate(matrix: FeedbackMatrix) -> None:
     DimensionMismatchError
         If the matrix is not square or is empty.
     EntryOutOfRangeError
-        If an entry lies outside [0, 1], or differs from 1 in full mode.
+        If an entry is not finite, lies outside [0, 1], or differs from 1 in
+        full mode.
     RowSumDeficientError
         If a strict-mode row sums to less than ``1 - 1e-9``. Such a scheme
         breaks the observation floor and voids the learner's guarantees.
@@ -85,6 +86,9 @@ def validate(matrix: FeedbackMatrix) -> None:
         )
     if matrix.mode not in ("strict", "full"):
         raise FeedbackError(f"unknown feedback mode {matrix.mode!r}")
+    if not np.all(np.isfinite(entries)):
+        m, mp = np.argwhere(~np.isfinite(entries))[0]
+        raise EntryOutOfRangeError(f"entry ({m}, {mp}) = {entries[m, mp]} is not finite")
     if np.any(entries < 0.0) or np.any(entries > 1.0):
         m, mp = np.argwhere((entries < 0.0) | (entries > 1.0))[0]
         raise EntryOutOfRangeError(
@@ -157,15 +161,3 @@ def sample_indicators(
     u = rng.random(matrix.n_experts)
     return (u < matrix.entries[:, selected]).astype(np.int8)
 
-
-def sample_observations(
-    matrix: FeedbackMatrix,
-    selected: int,
-    losses: np.ndarray,
-    rng: np.random.Generator,
-) -> ObservationOutcome:
-    """Sample indicators and fill in the revealed loss values."""
-    indicators = sample_indicators(matrix, selected, rng)
-    losses = np.asarray(losses, dtype=float)
-    observed = {int(m): float(losses[m]) for m in np.flatnonzero(indicators)}
-    return ObservationOutcome(indicators, observed)

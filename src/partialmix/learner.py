@@ -21,13 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .classnet import (
-    ClassWeights,
-    TransitionKernel,
-    advance,
-    expert_marginals,
-    init_weights,
-)
+from .classnet import TableKernel, advance, expert_marginals, init_weights
 from .feedback import (
     FeedbackMatrix,
     ObservationOutcome,
@@ -60,7 +54,7 @@ class LearnerConfig:
     """
 
     n_experts: int
-    kernel: TransitionKernel
+    kernel: TableKernel
     w_budget: float | None = None
     gamma: float | None = None
     epsilon: float | Sequence[float] | None = None
@@ -121,6 +115,7 @@ class LearnerState:
     ``psi`` is +inf until the first observation; ``eta_prev`` is None until
     the second-order statistics become positive. ``psi`` is non-increasing,
     ``V`` and ``D`` non-decreasing, so ``eta`` is non-increasing once set.
+    ``weights`` holds the log class weights over ``kernel.classes``.
     """
 
     t: int
@@ -128,9 +123,7 @@ class LearnerState:
     V: float
     D: float
     eta_prev: float | None
-    weights: ClassWeights
-    last_p: np.ndarray | None = None
-    last_q: np.ndarray | None = None
+    weights: np.ndarray
 
 
 def init_state(config: LearnerConfig) -> LearnerState:
@@ -181,17 +174,6 @@ class RateUpdate(NamedTuple):
     D: float
     v: float
     d: float
-
-
-def mix_with_uniform(p: np.ndarray, epsilon: float) -> np.ndarray:
-    return (1.0 - epsilon) * p + epsilon / len(p)
-
-
-def policy(state: LearnerState, config: LearnerConfig) -> np.ndarray:
-    """Selection probabilities for the current round: class-network
-    marginals mixed with the uniform floor ``epsilon_t / M``."""
-    p = expert_marginals(state.weights)
-    return mix_with_uniform(p, config.epsilon_at(state.t))
 
 
 def select(q: np.ndarray, rng: np.random.Generator) -> int:
@@ -246,11 +228,13 @@ def update_rate(
 def prepare_round(
     state: LearnerState, config: LearnerConfig, matrix: FeedbackMatrix
 ) -> RoundContext:
-    """Compute the pre-selection quantities and check the observation floor
+    """Compute the pre-selection quantities: the class-network marginals
+    ``p``, their mixture ``q`` with the uniform floor ``epsilon_t / M``, and
+    the observation probabilities ``o``. Checks the observation floor
     ``o_m >= epsilon_t / M`` that a validated scheme guarantees."""
     eps = config.epsilon_at(state.t)
-    p = expert_marginals(state.weights)
-    q = mix_with_uniform(p, eps)
+    p = expert_marginals(state.weights, config.kernel)
+    q = (1.0 - eps) * p + eps / len(p)
     o = observation_probabilities(matrix, q)
     floor = eps / config.n_experts
     if np.any(o < floor * (1.0 - OBSERVATION_FLOOR_SLACK)):
@@ -307,8 +291,6 @@ def finish_round(
         D=rate.D,
         eta_prev=rate.eta if rate.eta is not None else state.eta_prev,
         weights=new_weights,
-        last_p=ctx.p,
-        last_q=ctx.q,
     )
     return record, new_state
 

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .classnet import TransitionKernel
+from .classnet import TableKernel
 from .environment import FeedbackProcess
 from .feedback import ObservationOutcome
 from .learner import LearnerConfig, finish_round, init_state, prepare_round
@@ -45,7 +45,7 @@ DEFAULT_LIMIT = EnumerationLimit()
 
 
 def enumerate_weights(
-    kernel: TransitionKernel,
+    kernel: TableKernel,
     phi_history: np.ndarray,
     eta: float,
     limit: EnumerationLimit = DEFAULT_LIMIT,
@@ -64,25 +64,29 @@ def enumerate_weights(
     horizon = phi_history.shape[0]
     if eta <= 0.0:
         raise ValueError("the fixed rate must be positive")
-    sets = [kernel.class_set(t) for t in range(1, horizon + 2)]
-    n_paths = math.prod(len(s) for s in sets)
+    n_classes = len(kernel.classes)
+    n_paths = n_classes ** (horizon + 1)
     if n_paths > limit.max_paths:
         raise PathExplosionError(f"{n_paths} class paths exceed the limit {limit.max_paths}")
-    prior = kernel.initial_prior()
-    index_1 = kernel.class_index(1)
+    prior = kernel.prior.tolist()
+    matrix = kernel.matrix.tolist()
+    experts = kernel.experts.tolist()
+    phi = phi_history.tolist()
     marginals = np.zeros(kernel.n_experts)
-    for path in product(*sets):
-        weight = float(prior[index_1[path[0]]])
+    for path in product(range(n_classes), repeat=horizon + 1):
+        weight = prior[path[0]]
         if weight == 0.0:
             continue
         for t in range(1, horizon + 1):
-            weight *= kernel.transition(path[t - 1], t).get(path[t], 0.0)
+            weight *= matrix[path[t - 1]][path[t]]
             if weight == 0.0:
                 break
         if weight == 0.0:
             continue
-        exponent = sum(phi_history[t, path[t].expert] for t in range(horizon))
-        marginals[path[horizon].expert] += weight * math.exp(-eta * exponent)
+        exponent = 0.0
+        for t in range(horizon):
+            exponent += phi[t][experts[path[t]]]
+        marginals[experts[path[horizon]]] += weight * math.exp(-eta * exponent)
     total = marginals.sum()
     if total <= 0.0:
         raise ValueError("all enumerated paths carry zero weight")

@@ -85,7 +85,7 @@ def oracle_equivalence_suite(
         weights = init_weights(kernel)
         for t in range(horizon):
             weights = advance(weights, phi[t], eta, eta, kernel)
-        recursed = expert_marginals(weights)
+        recursed = expert_marginals(weights, kernel)
         enumerated = enumerate_weights(kernel, phi, eta)
         diff = float(np.max(np.abs(recursed - enumerated) / np.maximum(enumerated, 1e-12)))
         worst = max(worst, diff)

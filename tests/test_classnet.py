@@ -30,36 +30,28 @@ def two_class_kernel(prior=(0.9, 0.1), alpha=0.25):
 class TestKernels:
     def test_fixed_kernel_shape(self):
         kernel = fixed_kernel(4)
-        assert kernel.class_set(1) == tuple(ClassId(m) for m in range(4))
-        np.testing.assert_allclose(kernel.initial_prior(), 0.25)
-        assert kernel.transition(ClassId(2), 5) == {ClassId(2): 1.0}
-        assert kernel.max_class_count(1) == 1
-        assert kernel.max_class_count(3) == 4
+        assert kernel.classes == tuple(ClassId(m) for m in range(4))
+        np.testing.assert_allclose(kernel.prior, 0.25)
+        np.testing.assert_array_equal(kernel.matrix[2], [0.0, 0.0, 1.0, 0.0])
+        assert kernel.class_count(1) == 1
+        assert kernel.class_count(3) == 4
 
     def test_fixed_share_rows_sum_to_one_exactly(self):
         for m, alpha in [(2, 0.25), (3, 0.1), (4, 0.25), (8, 0.125), (5, 0.2), (2, 0.5)]:
-            kernel = fixed_share_kernel(m, alpha)
-            matrix = np.vstack(
-                [[kernel.transition(c, 1).get(d, 0.0) for d in kernel.class_set(2)]
-                 for c in kernel.class_set(1)]
-            )
-            sums = matrix.sum(axis=1)
+            sums = fixed_share_kernel(m, alpha).matrix.sum(axis=1)
             assert np.all(sums == 1.0)
 
     def test_fixed_share_rows_within_one_ulp_for_any_alpha(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             m = int(rng.integers(2, 9))
-            kernel = fixed_share_kernel(m, float(rng.uniform(1e-4, 0.999)))
-            rows = np.vstack(
-                [[kernel.transition(c, 1).get(d, 0.0) for d in kernel.class_set(2)]
-                 for c in kernel.class_set(1)]
-            )
+            rows = fixed_share_kernel(m, float(rng.uniform(1e-4, 0.999))).matrix
             assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= np.finfo(float).eps)
 
     def test_fixed_share_single_expert(self):
         kernel = fixed_share_kernel(1, 0.0)
-        assert kernel.transition(ClassId(0), 1) == {ClassId(0): 1.0}
+        assert kernel.classes == (ClassId(0),)
+        np.testing.assert_array_equal(kernel.matrix, [[1.0]])
         with pytest.raises(ClassNetError):
             fixed_share_kernel(1, 0.1)
 
@@ -74,25 +66,38 @@ class TestKernels:
         with pytest.raises(EmptyClassSetError):
             TableKernel((), np.array([]), np.zeros((0, 0)), 1)
 
+    @pytest.mark.parametrize(
+        "prior, matrix",
+        [
+            ([math.nan, 1.0], np.eye(2)),
+            ([0.5, 0.5], [[math.nan, 1.0], [0.0, 1.0]]),
+            ([0.5, 0.5], [[math.inf, 0.0], [0.0, 1.0]]),
+            ([math.inf, 0.5], np.eye(2)),
+        ],
+    )
+    def test_non_finite_weights_rejected(self, prior, matrix):
+        with pytest.raises(ClassNetError, match="must be finite"):
+            TableKernel((ClassId(0), ClassId(1)), np.array(prior), np.array(matrix), 2)
+
 
 class TestInitWeights:
     def test_uniform_prior(self):
         weights = init_weights(fixed_kernel(4))
-        np.testing.assert_allclose(weights.log_w, math.log(0.25))
-        assert weights.round == 1
+        np.testing.assert_allclose(weights, math.log(0.25))
+        assert weights.shape == (4,)
 
     def test_nonuniform_prior(self):
         weights = init_weights(two_class_kernel(prior=(0.9, 0.1)))
-        np.testing.assert_allclose(weights.log_w, [math.log(0.9), math.log(0.1)])
+        np.testing.assert_allclose(weights, [math.log(0.9), math.log(0.1)])
 
-    def test_zero_prior_class_dropped(self):
+    def test_zero_prior_class_is_minus_inf(self):
         kernel = TableKernel(
             (ClassId(0), ClassId(1)), np.array([1.0, 0.0]),
             np.array([[0.5, 0.5], [0.5, 0.5]]), 2,
         )
         weights = init_weights(kernel)
-        assert weights.classes == (ClassId(0),)
-        assert np.all(np.isfinite(weights.log_w))
+        assert weights[0] == 0.0 and weights[1] == -math.inf
+        np.testing.assert_array_equal(expert_marginals(weights, kernel), [1.0, 0.0])
 
 
 class TestAdvance:
@@ -101,15 +106,15 @@ class TestAdvance:
         weights = init_weights(kernel)
         advanced = advance(weights, np.zeros(2), 1.0, 1.0, kernel)
         # unchanged up to the renormalization constant
-        shifted = advanced.log_w - advanced.log_w[0] + weights.log_w[0]
-        np.testing.assert_allclose(shifted, weights.log_w, atol=1e-12)
+        shifted = advanced - advanced[0] + weights[0]
+        np.testing.assert_allclose(shifted, weights, atol=1e-12)
 
     def test_single_step_hand_value(self):
         # uniform prior, identity mixing, eta 1, phi = (ln 2, 0):
         # unnormalized weights 1/4 and 1/2, marginals (1/3, 2/3)
         kernel = fixed_kernel(2)
         weights = advance(init_weights(kernel), np.array([math.log(2), 0.0]), 1.0, 1.0, kernel)
-        np.testing.assert_allclose(expert_marginals(weights), [1 / 3, 2 / 3], rtol=1e-12)
+        np.testing.assert_allclose(expert_marginals(weights, kernel), [1 / 3, 2 / 3], rtol=1e-12)
 
     def test_fixed_share_mixes_linearly(self):
         # exponentials z_i then w'_0 = 0.75 z_0 + 0.25 z_1
@@ -119,12 +124,10 @@ class TestAdvance:
             log_w = rng.normal(size=2)
             phi = rng.uniform(0, 3, size=2)
             eta = rng.uniform(0.1, 2.0)
-            weights = advance(
-                _weights_from(log_w, kernel), phi, eta, eta, kernel
-            )
+            weights = advance(log_w, phi, eta, eta, kernel)
             z = np.exp(log_w - eta * phi)
             expected = np.array([0.75 * z[0] + 0.25 * z[1], 0.25 * z[0] + 0.75 * z[1]])
-            got = np.exp(weights.log_w)
+            got = np.exp(weights)
             np.testing.assert_allclose(got / got.sum(), expected / expected.sum(), rtol=1e-12)
 
     def test_rate_increase_rejected(self):
@@ -142,11 +145,9 @@ class TestAdvance:
         kernel = fixed_share_kernel(3, 0.1)
         log_w = rng.normal(size=3)
         phi = rng.uniform(0, 2, size=3)
-        base = expert_marginals(advance(_weights_from(log_w, kernel), phi, 1.0, 0.7, kernel))
+        base = expert_marginals(advance(log_w, phi, 1.0, 0.7, kernel), kernel)
         for shift in (-40.0, 3.5, 123.0):
-            moved = expert_marginals(
-                advance(_weights_from(log_w + shift, kernel), phi, 1.0, 0.7, kernel)
-            )
+            moved = expert_marginals(advance(log_w + shift, phi, 1.0, 0.7, kernel), kernel)
             np.testing.assert_allclose(moved, base, atol=1e-12)
 
     def test_result_is_max_normalized(self):
@@ -155,7 +156,7 @@ class TestAdvance:
         weights = advance(
             init_weights(kernel), rng.uniform(0, 5, size=3), 0.9, 0.9, kernel
         )
-        assert weights.log_w.max() == 0.0
+        assert weights.max() == 0.0
 
     def test_pruned_class_stays_out(self):
         # a zero column forever starves the second class
@@ -166,7 +167,15 @@ class TestAdvance:
             2,
         )
         weights = advance(init_weights(kernel), np.zeros(2), 1.0, 1.0, kernel)
-        assert weights.classes == (ClassId(0),)
+        assert weights[1] == -math.inf
+        assert expert_marginals(weights, kernel)[1] == 0.0
+        weights = advance(weights, np.array([0.0, 1.0]), 1.0, 1.0, kernel)
+        assert weights[1] == -math.inf
+
+    def test_all_mass_lost_rejected(self):
+        kernel = fixed_kernel(2)
+        with pytest.raises(EmptyClassSetError):
+            advance(np.full(2, -math.inf), np.zeros(2), 1.0, 1.0, kernel)
 
 
 class TestAdaptiveRatePowerCorrection:
@@ -177,10 +186,7 @@ class TestAdaptiveRatePowerCorrection:
         for _ in range(10):
             m = int(rng.integers(2, 4))
             kernel = fixed_share_kernel(m, float(rng.uniform(0.05, 0.4)))
-            matrix = np.vstack(
-                [[kernel.transition(c, 1).get(d, 0.0) for d in kernel.class_set(2)]
-                 for c in kernel.class_set(1)]
-            )
+            matrix = kernel.matrix
             horizon = 5
             etas = np.sort(rng.uniform(0.1, 1.5, horizon))[::-1]
             phis = rng.uniform(0.0, 2.0, size=(horizon, m))
@@ -193,13 +199,15 @@ class TestAdaptiveRatePowerCorrection:
                 linear = matrix.T @ (z ** (etas[t] / eta_prev))
                 weights = advance(weights, phis[t], eta_prev, etas[t], kernel)
             expected = linear / linear.sum()
-            np.testing.assert_allclose(expert_marginals(weights), expected, rtol=1e-11)
+            np.testing.assert_allclose(expert_marginals(weights, kernel), expected, rtol=1e-11)
 
 
 class TestExpertMarginals:
     def test_uniform_across_experts(self):
-        weights = init_weights(fixed_kernel(5))
-        np.testing.assert_allclose(expert_marginals(weights), 0.2, rtol=1e-12)
+        kernel = fixed_kernel(5)
+        np.testing.assert_allclose(
+            expert_marginals(init_weights(kernel), kernel), 0.2, rtol=1e-12
+        )
 
     def test_classes_sum_per_expert(self):
         kernel = TableKernel(
@@ -208,11 +216,13 @@ class TestExpertMarginals:
             np.full((3, 3), 1.0 / 3),
             2,
         )
-        np.testing.assert_allclose(expert_marginals(init_weights(kernel)), [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(
+            expert_marginals(init_weights(kernel), kernel), [0.5, 0.5], rtol=1e-12
+        )
 
     def test_expert_without_classes_gets_zero(self):
         kernel = TableKernel((ClassId(0), ClassId(2)), np.array([0.4, 0.6]), np.eye(2), 3)
-        marginals = expert_marginals(init_weights(kernel))
+        marginals = expert_marginals(init_weights(kernel), kernel)
         np.testing.assert_allclose(marginals, [0.4, 0.0, 0.6], rtol=1e-12)
         assert abs(marginals.sum() - 1.0) <= 1e-12
 
@@ -229,7 +239,7 @@ class TestComplexity:
         seq = CompetitorSequence.from_experts([0, 0, 1], kernel)
         assert complexity(kernel, seq) == pytest.approx(3.060270794691562, abs=1e-12)
 
-    def test_singleton_class_set(self):
+    def test_single_class_kernel(self):
         kernel = TableKernel((ClassId(0),), np.array([1.0]), np.array([[1.0]]), 1)
         seq = CompetitorSequence.from_experts([0, 0, 0, 0], kernel)
         assert complexity(kernel, seq) == pytest.approx(0.0, abs=1e-15)
@@ -288,7 +298,7 @@ class TestPathSumEquivalence:
         weights = init_weights(kernel)
         for t in range(2):
             weights = advance(weights, phi[t], eta, eta, kernel)
-        np.testing.assert_allclose(expert_marginals(weights), expected, rtol=1e-12)
+        np.testing.assert_allclose(expert_marginals(weights, kernel), expected, rtol=1e-12)
 
 
 class TestLogsumexp:
@@ -307,12 +317,6 @@ class TestLogsumexp:
     def test_extreme_scale(self):
         a = np.array([-1e6, -1e6 + math.log(2)])
         assert logsumexp(a) == pytest.approx(-1e6 + math.log(3), rel=1e-12)
-
-
-def _weights_from(log_w, kernel):
-    from partialmix.classnet import ClassWeights
-
-    return ClassWeights(kernel.class_set(1), np.asarray(log_w, dtype=float), 1, kernel.n_experts)
 
 
 def _random_switching_sequence(rng, m, horizon, k):

@@ -97,12 +97,22 @@ class TestBatch:
         assert main(["batch", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "run_0000.csv").exists() and (out / "run_0001.csv").exists()
         assert (out / "batch.json").exists()
+        # the per-run CSVs change nothing in the summary at the same seeds
+        (tmp_path / "plain").mkdir()
+        plain = write_config(tmp_path / "plain", runs=2)
+        assert main(["batch", "--config", str(plain), "--out", str(tmp_path / "o2")]) == 0
+        assert (out / "batch.json").read_bytes() == (tmp_path / "o2" / "batch.json").read_bytes()
 
     def test_runs_override(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["batch", "--config", str(path), "--out", str(out), "--runs", "2"]) == 0
         assert json.loads((out / "batch.json").read_text())["n_seeds"] == 2
+
+    def test_zero_runs_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["batch", "--config", str(path), "--out", str(tmp_path / "o"), "--runs", "0"]) == 2
+        assert "config error: --runs: must be at least 1" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -140,6 +150,33 @@ class TestValidate:
         )
         assert main(["validate", "--config", str(path)]) == 0
         assert capsys.readouterr().out.count("PASS") == 3
+
+    def test_bad_option_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, validate={"seed": "abc"})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "config error: validate.seed: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_seed_flag_overrides(self, tmp_path, monkeypatch, with_config):
+        from partialmix import cli
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "run_validation_suite", lambda **kwargs: calls.append(kwargs) or []
+        )
+        argv = ["validate", "--seed", "9"]
+        if with_config:
+            path = write_config(tmp_path, validate={"seed": 3, "lemma_configs": 2})
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        expected = {"seed": 9, "lemma_configs": 2} if with_config else {"seed": 9}
+        assert calls == [expected]
+
+    def test_bad_flags_exit_2(self, capsys):
+        assert main(["validate", "--runs", "3"]) == 2
+        assert "config error: --runs: " in capsys.readouterr().err
+        assert main(["validate", "--seed", "-1"]) == 2
+        assert "config error: --seed: must be at least 0" in capsys.readouterr().err
 
     def test_failures_exit_1(self, monkeypatch, capsys):
         from partialmix import cli

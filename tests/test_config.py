@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,8 +39,7 @@ class TestParseConfig:
 
     def test_fixed_share_kernel(self):
         cfg = parse_config(base_config(kernel={"type": "fixed_share", "alpha": 0.1}))
-        row = cfg.learner.kernel.transition(ClassId(0), 1)
-        assert row[ClassId(0)] == pytest.approx(0.9)
+        assert cfg.learner.kernel.matrix[0, 0] == pytest.approx(0.9)
 
     def test_custom_kernel_one_based_experts(self):
         kernel_spec = {
@@ -46,7 +49,7 @@ class TestParseConfig:
             "transitions": [[0.6, 0.4], [0.5, 0.5]],
         }
         cfg = parse_config(base_config(kernel=kernel_spec))
-        assert cfg.learner.kernel.class_set(1) == (ClassId(0), ClassId(1, "x"))
+        assert cfg.learner.kernel.classes == (ClassId(0), ClassId(1, "x"))
 
     def test_scripted_losses_and_explicit_competitor(self):
         values = [[0.1, 0.9]] * 5
@@ -131,8 +134,74 @@ class TestDiagnostics:
         values = cfg.loss_process.generate(5, np.random.default_rng(0))
         assert values[0, 1] == 0.2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"w_budget": math.nan}, "w_budget: expected a finite number, got nan"),
+            ({"gamma": math.inf}, "gamma: expected a finite number, got inf"),
+            ({"w_budget": 10**400}, "w_budget: expected a finite number"),
+            (
+                {"kernel": {"type": "fixed_share", "alpha": math.nan}},
+                r"kernel\.alpha: expected a finite number",
+            ),
+            (
+                {"kernel": {"type": "custom", "classes": [{"expert": 1}, {"expert": 2}],
+                            "prior": [math.nan, 1.0], "transitions": [[1, 0], [0, 1]]}},
+                r"kernel\.prior\[0\]: expected a finite number",
+            ),
+            (
+                {"loss": {"kind": "scripted", "range": [0, math.inf], "values": [[0.1, 0.2]] * 5}},
+                r"loss\.range\[1\]: expected a finite number",
+            ),
+            (
+                {"feedback": {"kind": "constant", "matrix": [[1.0, math.nan], [0.0, 1.0]]}},
+                r"feedback\.matrix\[0\]\[1\]: expected a finite number",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, overrides, message):
+        # json.dumps writes the NaN and Infinity literals that json.load accepts
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config(**overrides)))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"experts": 2,\n  "horizon": }\n')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+
+class TestValidateBlock:
+    def test_options_checked_and_kept(self):
+        options = {"seed": 5, "oracle_instances": 0, "lemma_configs": 2,
+                   "lemma_horizon": 4, "affine_horizon": 1}
+        assert parse_config(base_config(validate=options)).validate_options == options
+        assert parse_config(base_config()).validate_options == {}
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"seed": "abc"}, r"validate\.seed: expected an integer, got 'abc'"),
+            ({"seed": -1}, r"validate\.seed: must be at least 0"),
+            ({"oracle_instances": 2.5}, r"validate\.oracle_instances: expected an integer"),
+            ({"lemma_configs": -1}, r"validate\.lemma_configs: must be at least 0"),
+            ({"lemma_horizon": 3}, r"validate\.lemma_horizon: must be at least 4"),
+            ({"affine_horizon": 0}, r"validate\.affine_horizon: must be at least 1"),
+            ({"oracle_instance": 3}, r"validate\.oracle_instance: unknown validate option"),
+        ],
+    )
+    def test_bad_options_name_their_path(self, options, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(base_config(validate=options))
+
+    def test_not_an_object(self):
+        with pytest.raises(ConfigError, match="validate: expected an object"):
+            parse_config(base_config(validate=[1]))
+
+    @pytest.mark.parametrize("name", ["validate_oracle.json", "validate_sweep.json"])
+    def test_benchmark_configs_parse(self, name):
+        path = Path(__file__).resolve().parents[1] / "bench" / "configs" / name
+        raw = json.loads(path.read_text())
+        assert load_config(path).validate_options == raw["validate"]

@@ -34,6 +34,11 @@ class TestLossProcesses:
         with pytest.raises(EnvironmentError_, match="range"):
             ScriptedLosses(np.array([[0.5, 1.5]]), (0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scripted_non_finite_rejected(self, bad):
+        with pytest.raises(EnvironmentError_, match="must be finite"):
+            ScriptedLosses(np.array([[0.5, bad]]), (0.0, 1.0))
+
     def test_scripted_prefix(self):
         process = ScriptedLosses(np.arange(8.0).reshape(4, 2) / 10, (0.0, 1.0))
         out = process.generate(3, np.random.default_rng(0))

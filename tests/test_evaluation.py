@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,24 @@ class TestRealizedRegret:
             report = realized_regret(transcript, competitor, with_diagnostics=False)
         assert report.budget_exceeded
         assert report.complexity == pytest.approx(2 * math.log(2))
+
+    def test_budget_lapse_warning_shows_the_gap(self):
+        # 2 log 2 and 1.386 agree to 4 significant digits; the warning must
+        # still tell them apart
+        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.386)
+        values = np.random.default_rng(3).uniform(size=(20, 2))
+        transcript = run_game(
+            config, ScriptedLosses(values, (0.0, 1.0)), bandit_feedback(2), 20, seed=3
+        )
+        competitor = resolve_competitor(
+            CompetitorSpec("fixed", expert=0), transcript.losses, config.kernel
+        )
+        expected = (
+            "competitor complexity 1.3862943611198906 exceeds the budget "
+            "1.3859999999999999 by 0.00029436111989067371; the regret guarantee lapses"
+        )
+        with pytest.warns(UserWarning, match=re.escape(expected)):
+            realized_regret(transcript, competitor, with_diagnostics=False)
 
     def test_length_mismatch(self):
         config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.0)
@@ -206,11 +225,10 @@ class TestCheckLemmas:
         rng = np.random.default_rng(40)
         horizon = 150
         kernel = random_table_kernel(rng, 3)
-        classes = [kernel.class_set(1)[int(np.argmax(kernel.initial_prior()))]]
-        for t in range(1, horizon):
-            row = kernel.transition(classes[-1], t)
-            classes.append(max(row, key=row.get))
-        competitor = CompetitorSequence(tuple(classes))
+        path = [int(np.argmax(kernel.prior))]
+        for _ in range(1, horizon):
+            path.append(int(np.argmax(kernel.matrix[path[-1]])))
+        competitor = CompetitorSequence(tuple(kernel.classes[i] for i in path))
         config = LearnerConfig(
             n_experts=3, kernel=kernel, w_budget=complexity(kernel, competitor)
         )

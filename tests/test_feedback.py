@@ -11,9 +11,17 @@ from partialmix.feedback import (
     identity_feedback,
     observation_probabilities,
     sample_indicators,
-    sample_observations,
     validate,
 )
+
+
+def observe(matrix, selected, losses, rng):
+    """Sampled indicators with the revealed loss values, as the learner
+    builds them."""
+    indicators = sample_indicators(matrix, selected, rng)
+    return ObservationOutcome(
+        indicators, {int(m): float(losses[m]) for m in np.flatnonzero(indicators)}
+    )
 
 
 class TestValidate:
@@ -36,6 +44,18 @@ class TestValidate:
             validate(FeedbackMatrix(np.array([[1.2, 0.0], [0.0, 1.0]]), "strict"))
         with pytest.raises(EntryOutOfRangeError):
             validate(FeedbackMatrix(np.array([[-0.1, 1.1], [1.0, 1.0]]), "strict"))
+
+    @pytest.mark.parametrize(
+        "entries, mode",
+        [
+            ([[1.0, np.nan], [0.0, 1.0]], "strict"),
+            ([[1.0, 0.0], [np.inf, 1.0]], "strict"),
+            ([[1.0, 1.0], [1.0, np.nan]], "full"),
+        ],
+    )
+    def test_non_finite_entry_rejected(self, entries, mode):
+        with pytest.raises(EntryOutOfRangeError, match="not finite"):
+            validate(FeedbackMatrix(np.array(entries), mode))
 
     def test_full_mode_requires_ones(self):
         with pytest.raises(EntryOutOfRangeError):
@@ -89,21 +109,21 @@ class TestSampling:
     def test_identity_observes_only_selected(self):
         rng = np.random.default_rng(2)
         losses = np.array([0.1, 0.2, 0.3])
-        outcome = sample_observations(identity_feedback(3), 1, losses, rng)
+        outcome = observe(identity_feedback(3), 1, losses, rng)
         np.testing.assert_array_equal(outcome.indicators, [0, 1, 0])
         assert outcome.observed_losses == {1: 0.2}
 
     def test_full_mode_observes_all(self):
         rng = np.random.default_rng(3)
-        outcome = sample_observations(full_feedback(3), 0, np.array([0.1, 0.2, 0.3]), rng)
+        outcome = observe(full_feedback(3), 0, np.array([0.1, 0.2, 0.3]), rng)
         np.testing.assert_array_equal(outcome.indicators, [1, 1, 1])
         assert outcome.observed_losses == {0: 0.1, 1: 0.2, 2: 0.3}
 
     def test_deterministic_given_seed(self):
         matrix = FeedbackMatrix(np.full((3, 3), 1.0 / 3))
         losses = np.array([0.5, 0.6, 0.7])
-        first = sample_observations(matrix, 2, losses, np.random.default_rng(11))
-        second = sample_observations(matrix, 2, losses, np.random.default_rng(11))
+        first = observe(matrix, 2, losses, np.random.default_rng(11))
+        second = observe(matrix, 2, losses, np.random.default_rng(11))
         np.testing.assert_array_equal(first.indicators, second.indicators)
         assert first.observed_losses == second.observed_losses
 

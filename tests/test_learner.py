@@ -17,7 +17,7 @@ from partialmix.learner import (
     epsilon_schedule,
     estimate,
     init_state,
-    policy,
+    prepare_round,
     select,
     step,
     update_rate,
@@ -61,28 +61,31 @@ class TestPolicy:
             (ClassId(0), ClassId(1)), np.array([0.9, 0.1]), np.eye(2), 2
         )
         config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=1.0)
-        np.testing.assert_allclose(policy(init_state(config), config), [0.5, 0.5])
+        q = prepare_round(init_state(config), config, identity_feedback(2)).q
+        np.testing.assert_allclose(q, [0.5, 0.5])
 
     def test_no_mixing_returns_marginals(self):
         kernel = TableKernel(
             (ClassId(0), ClassId(1)), np.array([0.9, 0.1]), np.eye(2), 2
         )
         config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.0)
-        np.testing.assert_allclose(policy(init_state(config), config), [0.9, 0.1], rtol=1e-12)
+        q = prepare_round(init_state(config), config, identity_feedback(2)).q
+        np.testing.assert_allclose(q, [0.9, 0.1], rtol=1e-12)
 
     def test_hand_mixture(self):
         kernel = TableKernel(
             (ClassId(0), ClassId(1)), np.array([0.9, 0.1]), np.eye(2), 2
         )
         config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.5)
-        np.testing.assert_allclose(policy(init_state(config), config), [0.7, 0.3], rtol=1e-12)
+        q = prepare_round(init_state(config), config, identity_feedback(2)).q
+        np.testing.assert_allclose(q, [0.7, 0.3], rtol=1e-12)
 
     def test_floor_holds_for_every_round(self):
         config = bandit_config(4, w=2.0)
         state = init_state(config)
         for t in (1, 10, 100, 10_000):
             object.__setattr__(state, "t", t)
-            q = policy(state, config)
+            q = prepare_round(state, config, identity_feedback(4)).q
             assert np.all(q >= config.epsilon_at(t) / 4)
 
 
@@ -269,7 +272,7 @@ class TestStep:
         records, state = play(config, full_feedback(m), losses, seed=17)
         from partialmix.classnet import expert_marginals
 
-        got = expert_marginals(state.weights)
+        got = expert_marginals(state.weights, config.kernel)
         scores = -eta * losses.sum(axis=0)
         expected = np.exp(scores - scores.max())
         expected /= expected.sum()
@@ -285,7 +288,7 @@ class TestStep:
         )
         state6 = play(config, full_feedback(m), losses[:6], seed=17)[1]
         np.testing.assert_allclose(
-            expert_marginals(state6.weights),
+            expert_marginals(state6.weights, config.kernel),
             enumerate_weights(config.kernel, phi_history, eta),
             rtol=1e-10,
         )

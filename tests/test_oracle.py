@@ -43,7 +43,7 @@ class TestEnumerateWeights:
         for t in range(4):
             weights = advance(weights, phi[t], eta, eta, kernel)
         np.testing.assert_allclose(
-            expert_marginals(weights),
+            expert_marginals(weights, kernel),
             enumerate_weights(kernel, phi, eta),
             rtol=1e-10,
         )
