@@ -77,6 +77,11 @@ class TableKernel:
     predecessors); ``log_matrix`` holds its logs with zeros as ``-inf``.
     ``experts[i]`` is the expert of ``classes[i]``. Kernels are immutable
     and freely shareable across runs.
+
+    A table of the form ``off * J + diag(stay)`` with ``stay >= 0`` (fixed
+    and fixed-share kernels among them) mixes in O(n) through the closed
+    form of Herbster & Warmuth, "Tracking the best expert" (1998); any
+    other table mixes through the dense ``log_matrix``.
     """
 
     def __init__(
@@ -121,11 +126,31 @@ class TableKernel:
         self.experts = experts
         with np.errstate(divide="ignore"):
             self.log_matrix = np.log(matrix)
+        # the O(n) form needs one off-diagonal value; n = 1 has none
+        self._log_stay = self._log_off = None
+        if n > 1:
+            off = matrix[0, 1]
+            stay = np.diag(matrix) - off
+            if np.all(matrix[~np.eye(n, dtype=bool)] == off) and np.all(stay >= 0.0):
+                with np.errstate(divide="ignore"):
+                    self._log_stay = np.log(stay)
+                    self._log_off = math.log(off) if off > 0.0 else -math.inf
         self._index = {c: i for i, c in enumerate(classes)}
         by_expert: dict[int, list[ClassId]] = {}
         for c in classes:
             by_expert.setdefault(c.expert, []).append(c)
         self._by_expert = by_expert
+
+    def mix(self, scaled: np.ndarray) -> np.ndarray:
+        """New log weights ``log sum_i T[i, j] exp(scaled[i])`` for every
+        successor class ``j``. An all ``-inf`` input is returned as is."""
+        if self._log_stay is None:
+            return logsumexp(self.log_matrix + scaled[:, None], axis=0)
+        top = scaled.max()
+        if top == -math.inf:
+            return scaled
+        log_total = top + math.log(np.exp(scaled - top).sum())
+        return np.logaddexp(self._log_stay + scaled, self._log_off + log_total)
 
     def class_count(self, horizon: int) -> int:
         """Class-set size entering the complexity of a ``horizon``-round
@@ -206,7 +231,8 @@ def advance(
 
     In the log domain: ``log z = log w - eta_prev * phi[expert]`` per class,
     then for each successor class the new log weight is the logsumexp over
-    predecessors of ``log T(succ | pred) + (eta_new / eta_prev) * log z``.
+    predecessors of ``log T(succ | pred) + (eta_new / eta_prev) * log z``
+    (``kernel.mix``).
     The result is shifted so its maximum is 0, which leaves probabilities
     untouched. All probabilities are invariant to adding a constant to
     every log weight.
@@ -220,7 +246,7 @@ def advance(
         raise RateIncreaseError(f"rate increased from {eta_prev} to {eta_new}")
     log_z = log_w - eta_prev * phi[kernel.experts]
     scaled = (eta_new / eta_prev) * log_z
-    new_log = logsumexp(kernel.log_matrix + scaled[:, None], axis=0)
+    new_log = kernel.mix(scaled)
     top = new_log.max()
     if top == -math.inf:
         raise EmptyClassSetError("all classes lost their mass")

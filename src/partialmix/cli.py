@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,28 +52,31 @@ def write_rounds_csv(
         + [f"q_{i}" for i in range(1, m + 1)]
     )
     lines = [",".join(header)]
+    # "%.17g" renders a float exactly as _fmt does; one template per row
+    # formats the whole line in one call, with no per-column strings
+    row_template = "%d,%d" + ",%.17g" * 5 + ",%d,%.17g,%.17g,%d,%.17g,%.17g" + ",%.17g" * m
     cum_loss = 0.0
     cum_regret = 0.0
     for record, arm in zip(transcript.records, competitor.experts):
         competitor_loss = float(transcript.losses[record.t - 1, arm])
         cum_loss += record.selected_loss
         cum_regret += record.selected_loss - competitor_loss
-        row = [
-            str(run_index),
-            str(record.t),
-            _fmt(record.epsilon_t),
-            _fmt(record.eta_t) if record.eta_t is not None else "nan",
-            _fmt(record.psi_t),
-            _fmt(record.V),
-            _fmt(record.D),
-            str(record.selected + 1),
-            _fmt(record.selected_loss),
-            _fmt(cum_loss),
-            str(int(arm) + 1),
-            _fmt(competitor_loss),
-            _fmt(cum_regret),
-        ] + [_fmt(v) for v in record.q]
-        lines.append(",".join(row))
+        lines.append(row_template % (
+            run_index,
+            record.t,
+            record.epsilon_t,
+            math.nan if record.eta_t is None else record.eta_t,
+            record.psi_t,
+            record.V,
+            record.D,
+            record.selected + 1,
+            record.selected_loss,
+            cum_loss,
+            arm + 1,
+            competitor_loss,
+            cum_regret,
+            *record.q.tolist(),
+        ))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -20,6 +20,8 @@ from partialmix.classnet import (
     init_weights,
     logsumexp,
 )
+from partialmix.config import parse_kernel
+from partialmix.validation import random_table_kernel
 
 
 def two_class_kernel(prior=(0.9, 0.1), alpha=0.25):
@@ -176,6 +178,105 @@ class TestAdvance:
         kernel = fixed_kernel(2)
         with pytest.raises(EmptyClassSetError):
             advance(np.full(2, -math.inf), np.zeros(2), 1.0, 1.0, kernel)
+
+
+def dense_mix(kernel, scaled):
+    """The reference O(n^2) mix over the full log table."""
+    return logsumexp(kernel.log_matrix + scaled[:, None], axis=0)
+
+
+def dense_advance(log_w, phi, eta_prev, eta_new, kernel):
+    new_log = dense_mix(kernel, (eta_new / eta_prev) * (log_w - eta_prev * phi[kernel.experts]))
+    return new_log - new_log.max()
+
+
+def normalized(log_w):
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
+class TestMix:
+    @pytest.mark.parametrize("m", [2, 3, 4, 32, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.3])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_closed_form_matches_dense(self, m, alpha, scale):
+        kernel = fixed_share_kernel(m, alpha)
+        assert kernel._log_stay is not None
+        rng = np.random.default_rng([m, int(alpha * 1e3), int(scale)])
+        for _ in range(20):
+            scaled = scale * rng.normal(size=m)
+            dropped = rng.random(m) < 0.2
+            dropped[rng.integers(m)] = False  # keep some mass
+            scaled[dropped] = -math.inf
+            fast = kernel.mix(scaled)
+            dense = dense_mix(kernel, scaled)
+            np.testing.assert_array_equal(np.isfinite(fast), np.isfinite(dense))
+            np.testing.assert_allclose(normalized(fast), normalized(dense), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 32, 256])
+    def test_fixed_kernel_bit_identical(self, m):
+        kernel = fixed_kernel(m)
+        rng = np.random.default_rng(m)
+        for scale in (1.0, 30.0, 800.0):
+            scaled = scale * rng.normal(size=m)
+            scaled[rng.random(m) < 0.2] = -math.inf
+            assert np.array_equal(kernel.mix(scaled), dense_mix(kernel, scaled))
+
+    def test_config_table_of_the_same_form(self):
+        reference = fixed_share_kernel(5, 0.1)
+        spec = {
+            "type": "custom",
+            "classes": [{"expert": m + 1} for m in range(5)],
+            "prior": reference.prior.tolist(),
+            "transitions": reference.matrix.tolist(),
+        }
+        table = parse_kernel(spec, 5)
+        assert table._log_stay is not None
+        rng = np.random.default_rng(9)
+        log_w = init_weights(table)
+        for _ in range(30):
+            phi = rng.uniform(0, 4, size=5)
+            got = advance(log_w, phi, 0.8, 0.7, table)
+            assert np.array_equal(got, advance(log_w, phi, 0.8, 0.7, reference))
+            log_w = got
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            fixed_share_kernel(2, 0.9),  # stay = 0.1 - 0.9 < 0
+            fixed_kernel(1),  # no off-diagonal entry
+            TableKernel((ClassId(0), ClassId(1)), np.array([0.5, 0.5]),
+                        np.array([[0.7, 0.3], [0.2, 0.8]]), 2),  # two off values
+        ],
+        ids=["negative_stay", "single_class", "unequal_off"],
+    )
+    def test_dense_fallback_is_exact(self, kernel):
+        assert kernel._log_stay is None
+        n = len(kernel.classes)
+        rng = np.random.default_rng(n)
+        log_w = init_weights(kernel)
+        for _ in range(20):
+            phi = rng.uniform(0, 3, size=kernel.n_experts)
+            got = advance(log_w, phi, 1.0, 0.9, kernel)
+            assert np.array_equal(got, dense_advance(log_w, phi, 1.0, 0.9, kernel))
+            log_w = got
+
+    def test_random_table_kernels_are_exact(self):
+        rng = np.random.default_rng(10)
+        for _ in range(25):
+            kernel = random_table_kernel(rng, int(rng.integers(2, 6)))
+            log_w = init_weights(kernel)
+            for _ in range(5):
+                phi = rng.uniform(0, 3, size=kernel.n_experts)
+                got = advance(log_w, phi, 1.2, 1.1, kernel)
+                assert np.array_equal(got, dense_advance(log_w, phi, 1.2, 1.1, kernel))
+                log_w = got
+
+    def test_all_mass_lost_rejected_on_closed_form(self):
+        kernel = fixed_share_kernel(4, 0.1)
+        assert kernel._log_stay is not None
+        with pytest.raises(EmptyClassSetError):
+            advance(np.full(4, -math.inf), np.zeros(4), 1.0, 1.0, kernel)
 
 
 class TestAdaptiveRatePowerCorrection:

@@ -1,8 +1,19 @@
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
-from partialmix.cli import main
+from partialmix import (
+    CompetitorSequence,
+    LearnerConfig,
+    PiecewiseLosses,
+    bandit_feedback,
+    fixed_share_kernel,
+    run_game,
+)
+from partialmix.cli import _fmt, main, write_rounds_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -78,6 +89,58 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert "row 0" in err
+
+
+def reference_rounds_csv(transcript, competitor, run_index):
+    """The writer's rows built one ``_fmt`` call per value."""
+    m = transcript.config.n_experts
+    header = (
+        ["run", "t", "epsilon", "eta", "psi", "V", "D", "i_t", "loss", "cum_loss",
+         "competitor_arm", "competitor_loss", "regret"]
+        + [f"q_{i}" for i in range(1, m + 1)]
+    )
+    lines = [",".join(header)]
+    cum_loss = cum_regret = 0.0
+    for record, arm in zip(transcript.records, competitor.experts):
+        competitor_loss = float(transcript.losses[record.t - 1, arm])
+        cum_loss += record.selected_loss
+        cum_regret += record.selected_loss - competitor_loss
+        row = [
+            str(run_index), str(record.t), _fmt(record.epsilon_t),
+            _fmt(record.eta_t) if record.eta_t is not None else "nan",
+            _fmt(record.psi_t), _fmt(record.V), _fmt(record.D), str(record.selected + 1),
+            _fmt(record.selected_loss), _fmt(cum_loss), str(int(arm) + 1),
+            _fmt(competitor_loss), _fmt(cum_regret),
+        ] + [_fmt(v) for v in record.q]
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestRoundsCsv:
+    def test_matches_per_value_format(self, tmp_path):
+        m = 4
+        config = LearnerConfig(n_experts=m, kernel=fixed_share_kernel(m, 0.1), w_budget=10.0)
+        losses = PiecewiseLosses(m, (0.0, 1.0), best_arms=[0, 2], boundaries=[0.5])
+        transcript = run_game(config, losses, bandit_feedback(m), 6, seed=3)
+        extremes = [
+            (None, 0.0, [0.25, 0.25, 0.25, 0.25]),
+            (math.nan, -0.0, [-0.0, 1e-300, 1e300, 0.1]),
+            (-0.0, 1e300, [5e-324, 1.0 / 3.0, math.nan, math.inf]),
+            (1e-300, 1e-300, [-math.inf, 2.5e-310, 0.0, 1 - 1e-16]),
+            (1e300, math.inf, [1e300, 1e-300, -0.0, 0.5]),
+        ]
+        for i, (eta, v, q) in enumerate(extremes):
+            transcript.records[i] = dataclasses.replace(
+                transcript.records[i], eta_t=eta, V=v, psi_t=-v, q=np.array(q)
+            )
+        competitor = CompetitorSequence.from_experts([0, 1, 2, 3, 0, 1], config.kernel)
+        path = tmp_path / "rounds.csv"
+        write_rounds_csv(path, transcript, competitor, 7)
+
+        assert path.read_bytes() == reference_rounds_csv(transcript, competitor, 7)
+        rows = path.read_text().split("\n")
+        assert rows[2].split(",")[3] == "nan"
+        assert rows[2].split(",")[13:15] == ["-0", "1e-300"]
 
 
 class TestBatch:
