@@ -52,7 +52,6 @@ from .evaluation import (
 )
 from .feedback import (
     FeedbackMatrix,
-    ObservationOutcome,
     full_feedback,
     identity_feedback,
     observation_probabilities,
@@ -61,7 +60,6 @@ from .feedback import validate as validate_feedback
 from .learner import (
     LearnerConfig,
     LearnerState,
-    RoundRecord,
     epsilon_schedule,
     estimate,
     init_state,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -55,28 +54,29 @@ def write_rounds_csv(
     # "%.17g" renders a float exactly as _fmt does; one template per row
     # formats the whole line in one call, with no per-column strings
     row_template = "%d,%d" + ",%.17g" * 5 + ",%d,%.17g,%.17g,%d,%.17g,%.17g" + ",%.17g" * m
-    cum_loss = 0.0
-    cum_regret = 0.0
-    for record, arm in zip(transcript.records, competitor.experts):
-        competitor_loss = float(transcript.losses[record.t - 1, arm])
-        cum_loss += record.selected_loss
-        cum_regret += record.selected_loss - competitor_loss
-        lines.append(row_template % (
-            run_index,
-            record.t,
-            record.epsilon_t,
-            math.nan if record.eta_t is None else record.eta_t,
-            record.psi_t,
-            record.V,
-            record.D,
-            record.selected + 1,
-            record.selected_loss,
-            cum_loss,
-            arm + 1,
-            competitor_loss,
-            cum_regret,
-            *record.q.tolist(),
-        ))
+    rounds = np.arange(transcript.horizon)
+    arms = competitor.experts
+    loss = transcript.selected_loss
+    competitor_loss = transcript.losses[rounds, arms]
+    # running sums are left folds, round by round; + 0.0 turns a -0.0 sum
+    # into 0.0, as a fold that starts from 0.0 would
+    columns = zip(
+        (rounds + 1).tolist(),
+        transcript.epsilon.tolist(),
+        transcript.eta.tolist(),
+        transcript.psi.tolist(),
+        transcript.V.tolist(),
+        transcript.D.tolist(),
+        (transcript.selected + 1).tolist(),
+        loss.tolist(),
+        (np.cumsum(loss) + 0.0).tolist(),
+        (arms + 1).tolist(),
+        competitor_loss.tolist(),
+        (np.cumsum(loss - competitor_loss) + 0.0).tolist(),
+        transcript.q,
+    )
+    for *head, q in columns:
+        lines.append(row_template % (run_index, *head, *q.tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 

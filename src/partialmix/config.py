@@ -299,6 +299,36 @@ def _parse_validate(spec) -> dict:
     }
 
 
+def _check_horizon(
+    horizon: int,
+    learner: LearnerConfig,
+    loss_process: LossProcess,
+    feedback_process: FeedbackProcess,
+    competitor: CompetitorSpec,
+) -> None:
+    """Every input bound to the horizon covers ``horizon`` rounds: an
+    epsilon schedule, scripted losses, scripted feedback and an explicit
+    competitor (which must match it exactly)."""
+    if isinstance(learner.epsilon, tuple) and len(learner.epsilon) < horizon:
+        raise ConfigError(
+            "epsilon", f"schedule has {len(learner.epsilon)} entries, horizon is {horizon}"
+        )
+    if isinstance(loss_process, ScriptedLosses):
+        try:
+            loss_process.generate(horizon, np.random.default_rng(0))
+        except ValueError as exc:
+            raise ConfigError("loss", str(exc)) from exc
+    try:
+        feedback_process.check_horizon(horizon)
+    except ValueError as exc:
+        raise ConfigError("feedback", str(exc)) from exc
+    if competitor.kind == "explicit" and len(competitor.sequence) != horizon:
+        raise ConfigError(
+            "competitor.sequence",
+            f"has {len(competitor.sequence)} rounds, horizon is {horizon}",
+        )
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     """Parsed experiment: learner, environment, competitor, seeds, output."""
@@ -331,8 +361,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         epsilon = [
             _as_float(v, f"epsilon[{i}]") for i, v in enumerate(_as_list(epsilon, "epsilon"))
         ]
-        if len(epsilon) < horizon:
-            raise ConfigError("epsilon", f"schedule has {len(epsilon)} entries, horizon is {horizon}")
     fixed_eta = _as_float(raw["fixed_eta"], "fixed_eta") if raw.get("fixed_eta") is not None else None
     try:
         learner = LearnerConfig(
@@ -348,20 +376,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     loss_process = parse_loss_process(_require(raw, "loss", "config"), n_experts)
     feedback_process = parse_feedback_process(_require(raw, "feedback", "config"), n_experts)
     competitor = parse_competitor(_require(raw, "competitor", "config"), n_experts)
-    if isinstance(loss_process, ScriptedLosses):
-        try:
-            loss_process.generate(horizon, np.random.default_rng(0))
-        except ValueError as exc:
-            raise ConfigError("loss", str(exc)) from exc
-    try:
-        feedback_process.check_horizon(horizon)
-    except ValueError as exc:
-        raise ConfigError("feedback", str(exc)) from exc
-    if competitor.kind == "explicit" and len(competitor.sequence) != horizon:
-        raise ConfigError(
-            "competitor.sequence",
-            f"has {len(competitor.sequence)} rounds, horizon is {horizon}",
-        )
+    inputs = (learner, loss_process, feedback_process, competitor)
+    _check_horizon(horizon, *inputs)
     seed = _as_int(raw.get("seed", 0), "seed", 0)
     runs = _as_int(raw.get("runs", 1), "runs", 1)
     out = raw.get("out")
@@ -380,6 +396,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
         if len(sweep_horizons) < 1:
             raise ConfigError("sweep.horizons", "needs at least one horizon")
+        for i, h in enumerate(sweep_horizons):
+            try:
+                _check_horizon(h, *inputs)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.horizons[{i}]", str(exc)) from exc
         if "runs" in sweep:
             sweep_runs = _as_int(sweep["runs"], "sweep.runs", 1)
     validate_options = _parse_validate(raw.get("validate", {}))

@@ -10,6 +10,7 @@ that round by round.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import feedback as fb
 from .classnet import CompetitorSequence, TableKernel
-from .learner import LearnerConfig, RoundRecord, init_state, step
+from .learner import LearnerConfig, init_state, step
 
 
 class EnvironmentError_(ValueError):
@@ -269,23 +270,36 @@ def full_feedback_process(n_experts: int) -> ConstantFeedback:
 
 @dataclass(eq=False)
 class GameTranscript:
-    """Everything one game produced, plus the realized losses for
-    hindsight evaluation. The learner never sees this object."""
+    """Everything one game produced, one row per round, plus the realized
+    losses for hindsight evaluation. The learner never sees this object.
 
-    records: list[RoundRecord]
-    cumulative_loss: float
+    (T,) columns: ``epsilon``, ``eta`` (NaN while the rate is unset),
+    ``psi``, ``V``, ``D``, ``v``, ``d``, ``selected`` and ``selected_loss``
+    (the loss incurred, revealed or not). (T, M) columns: ``p``, ``q``,
+    ``o``, ``phi`` and the int8 observation ``indicators``.
+    """
+
     config: LearnerConfig
     seed: int
     losses: np.ndarray
     loss_range: tuple[float, float]
 
-    @property
-    def horizon(self) -> int:
-        return len(self.records)
+    def __post_init__(self) -> None:
+        horizon, m = self.losses.shape
+        (self.epsilon, self.eta, self.psi, self.V, self.D, self.v, self.d,
+         self.selected_loss) = np.empty((8, horizon))
+        self.selected = np.empty(horizon, dtype=int)
+        self.p, self.q, self.o, self.phi = np.empty((4, horizon, m))
+        self.indicators = np.empty((horizon, m), dtype=np.int8)
 
     @property
-    def selections(self) -> np.ndarray:
-        return np.array([r.selected for r in self.records], dtype=int)
+    def horizon(self) -> int:
+        return len(self.selected)
+
+    @property
+    def cumulative_loss(self) -> float:
+        # a left fold from 0.0, round by round, like the CSV's cum_loss
+        return float(np.cumsum(self.selected_loss)[-1]) + 0.0
 
 
 def run_game(
@@ -320,34 +334,37 @@ def run_game(
         raise EnvironmentError_("loss process produced values outside its declared range")
     play_rng = np.random.default_rng(play_seq)
 
+    tr = GameTranscript(config, seed, losses, loss_process.loss_range)
     state = init_state(config)
-    records: list[RoundRecord] = []
-    cumulative = 0.0
-    for t in range(1, horizon + 1):
-        matrix = feedback_process.matrix_at(t)
-        row = losses[t - 1]
+    for i, row in enumerate(losses):
+        matrix = feedback_process.matrix_at(i + 1)
         queried: list[int] = []
 
         def reveal(m: int) -> float:
             queried.append(m)
             return float(row[m])
 
-        record, state = step(state, config, matrix, reveal, play_rng)
-        indicators = record.outcome.indicators
+        ctx, selected, indicators, phi, rate, state = step(
+            state, config, matrix, reveal, play_rng
+        )
         if any(indicators[m] == 0 for m in queried):
-            raise RuntimeError(f"learner read an unrevealed loss at round {t}")
+            raise RuntimeError(f"learner read an unrevealed loss at round {i + 1}")
+        tr.epsilon[i] = ctx.epsilon
+        tr.eta[i] = math.nan if rate.eta is None else rate.eta
+        tr.psi[i] = state.psi
+        tr.V[i] = rate.V
+        tr.D[i] = rate.D
+        tr.v[i] = rate.v
+        tr.d[i] = rate.d
+        tr.selected[i] = selected
         # the incurred loss is environment-side knowledge even when hidden
-        record.selected_loss = float(row[record.selected])
-        cumulative += record.selected_loss
-        records.append(record)
-    return GameTranscript(
-        records=records,
-        cumulative_loss=cumulative,
-        config=config,
-        seed=seed,
-        losses=losses,
-        loss_range=loss_process.loss_range,
-    )
+        tr.selected_loss[i] = row[selected]
+        tr.p[i] = ctx.p
+        tr.q[i] = ctx.q
+        tr.o[i] = ctx.o
+        tr.phi[i] = phi
+        tr.indicators[i] = indicators
+    return tr
 
 
 def best_competitor(

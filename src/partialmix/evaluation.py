@@ -100,25 +100,17 @@ def check_lemmas(
     ``observation_floor``: ``o_{t,m} >= epsilon_t / M`` for every round and
     expert.
     """
-    records = transcript.records
-    if len(competitor) != len(records):
+    horizon = transcript.horizon
+    if len(competitor) != horizon:
         raise LengthMismatchError(
-            f"competitor covers {len(competitor)} rounds, transcript {len(records)}"
+            f"competitor covers {len(competitor)} rounds, transcript {horizon}"
         )
     kernel = kernel if kernel is not None else transcript.config.kernel
     gamma = gamma if gamma is not None else transcript.config.gamma_value
-    horizon = len(records)
     m = transcript.config.n_experts
-
-    eta = np.array([math.nan if r.eta_t is None else r.eta_t for r in records])
-    v = np.array([r.v_t for r in records])
-    d = np.array([r.d_t for r in records])
-    v_run = np.array([r.V for r in records])
-    d_run = np.array([r.D for r in records])
-    eps = np.array([r.epsilon_t for r in records])
-    phi = np.stack([r.phi for r in records])
-    p = np.stack([r.p for r in records])
-    o = np.stack([r.o for r in records])
+    eta, v, d = transcript.eta, transcript.v, transcript.d
+    v_run, d_run = transcript.V, transcript.D
+    phi, o = transcript.phi, transcript.o
 
     sqrt_v = np.sqrt(v_run)
     sqrt_vd = np.sqrt(v_run + d_run * d_run)
@@ -143,10 +135,9 @@ def check_lemmas(
         rate_drop = _verdict("rate_drop", np.cumsum((1.0 - ratio) * d), sqrt_vd)
 
     experts = competitor.experts
-    inst = np.einsum("tm,tm->t", p, phi) - phi[np.arange(horizon), experts]
-    log_counts = np.array(
-        [math.log(kernel.class_count(t)) for t in range(1, horizon + 1)]
-    )
+    inst = np.einsum("tm,tm->t", transcript.p, phi) - phi[np.arange(horizon), experts]
+    log_counts = np.full(horizon, math.log(kernel.class_count(horizon)))
+    log_counts[0] = math.log(kernel.class_count(1))
     w_prefix = log_counts - np.cumsum(kernel.path_log_factors(competitor.classes))
     tracking = _verdict(
         "tracking",
@@ -154,7 +145,7 @@ def check_lemmas(
         ((w_prefix + gamma) / gamma) * sqrt_vd + gamma * sqrt_v,
     )
 
-    floor = np.broadcast_to(eps[:, None] / m, o.shape)
+    floor = np.broadcast_to(transcript.epsilon[:, None] / m, o.shape)
     observation_floor = _verdict(
         "observation_floor", floor.ravel(), o.ravel()
     )
@@ -212,6 +203,15 @@ def theoretical_bound(
     return BoundValue(theorem=theorem, cleaner=cleaner)
 
 
+def _bound(config: LearnerConfig, w: float, epsilons: np.ndarray) -> BoundValue:
+    """``theoretical_bound`` for a played schedule. A competitor outside the
+    kernel's support (infinite ``w``) or an epsilon of 0, whose ``M/eps_T``
+    term is infinite, gets no guarantee: the bound is infinite."""
+    if math.isinf(w) or np.any(epsilons == 0.0):
+        return BoundValue(math.inf, math.inf)
+    return theoretical_bound(config.n_experts, w, config.gamma_value, epsilons)
+
+
 @dataclass(frozen=True)
 class RegretReport:
     """Scorecard of one game against one competitor."""
@@ -264,13 +264,13 @@ def realized_regret(
             "the regret guarantee lapses",
             stacklevel=2,
         )
-    eps = np.array([r.epsilon_t for r in transcript.records])
-    if math.isinf(w_realized):
-        bound = BoundValue(math.inf, math.inf)
-        diagnostics = None
-    else:
-        bound = theoretical_bound(config.n_experts, w_realized, config.gamma_value, eps)
-        diagnostics = check_lemmas(transcript, competitor) if with_diagnostics else None
+    bound = _bound(config, w_realized, transcript.epsilon)
+    # out of the kernel's support no inequality applies
+    diagnostics = (
+        check_lemmas(transcript, competitor)
+        if with_diagnostics and math.isfinite(w_realized)
+        else None
+    )
     return RegretReport(
         learner_loss=transcript.cumulative_loss,
         competitor_loss=competitor_loss,
@@ -370,7 +370,7 @@ def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchS
     config = bundle.learner_config
     eps = np.array([config.epsilon_at(t) for t in range(1, bundle.horizon + 1)])
     w_worst = max(r.complexity for r in results)
-    bound = theoretical_bound(config.n_experts, w_worst, config.gamma_value, eps)
+    bound = _bound(config, w_worst, eps)
     return BatchSummary(
         n_seeds=n_seeds,
         mean_regret=mean,

@@ -109,32 +109,6 @@ def validate(matrix: FeedbackMatrix) -> None:
         raise RowSumDeficientError(f"row {m} sums to {row_sums[m]:.6g}, below 1")
 
 
-@dataclass(frozen=True, eq=False)
-class ObservationOutcome:
-    """Which losses one round revealed, and their values.
-
-    ``observed_losses`` has an entry exactly for the indices with
-    indicator 1.
-    """
-
-    indicators: np.ndarray
-    observed_losses: dict[int, float]
-
-    def __post_init__(self) -> None:
-        indicators = np.asarray(self.indicators, dtype=np.int8)
-        object.__setattr__(self, "indicators", indicators)
-        revealed = set(int(m) for m in np.flatnonzero(indicators))
-        if set(self.observed_losses) != revealed:
-            raise ValueError(
-                "observed_losses keys must match the indicator-1 indices: "
-                f"{sorted(self.observed_losses)} vs {sorted(revealed)}"
-            )
-
-    @property
-    def observed_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.indicators)
-
-
 def observation_probabilities(matrix: FeedbackMatrix, q: np.ndarray) -> np.ndarray:
     """Per-expert probability of observing each loss under selection law ``q``.
 

@@ -22,12 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .classnet import TableKernel, advance, expert_marginals, init_weights
-from .feedback import (
-    FeedbackMatrix,
-    ObservationOutcome,
-    observation_probabilities,
-    sample_indicators,
-)
+from .feedback import FeedbackMatrix, observation_probabilities, sample_indicators
 
 OBSERVATION_FLOOR_SLACK = 1e-9
 
@@ -132,33 +127,6 @@ def init_state(config: LearnerConfig) -> LearnerState:
     )
 
 
-@dataclass(eq=False)
-class RoundRecord:
-    """One played round; the unit of the CSV transcript.
-
-    ``selected_loss`` is the loss the learner incurred. The learner itself
-    fills it only when the selected expert's loss was revealed; the game
-    runner completes it from the true loss vector otherwise (NaN until
-    then).
-    """
-
-    t: int
-    p: np.ndarray
-    q: np.ndarray
-    selected: int
-    outcome: ObservationOutcome
-    o: np.ndarray
-    phi: np.ndarray
-    v_t: float
-    d_t: float
-    eta_t: float | None
-    epsilon_t: float
-    psi_t: float
-    V: float
-    D: float
-    selected_loss: float
-
-
 class RoundContext(NamedTuple):
     """Pre-selection quantities of one round."""
 
@@ -184,16 +152,18 @@ def select(q: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def estimate(
-    outcome: ObservationOutcome, o: np.ndarray, psi_new: float
+    indicators: np.ndarray, revealed: np.ndarray, o: np.ndarray, psi_new: float
 ) -> np.ndarray:
     """Importance-weighted, translation-corrected loss estimates.
 
-    ``phi_m = (loss_m - psi_new) / o_m`` for revealed indices, 0 otherwise.
-    ``psi_new`` must already include this round's observations, so every
-    entry is nonnegative.
+    ``revealed`` holds the losses at ``np.flatnonzero(indicators)``, in
+    index order. ``phi_m = (loss_m - psi_new) / o_m`` for revealed indices,
+    0 otherwise. ``psi_new`` must already include this round's
+    observations, so every entry is nonnegative.
     """
     phi = np.zeros(len(o))
-    for m, loss in outcome.observed_losses.items():
+    # strict: one revealed loss per indicator 1, or a ValueError
+    for m, loss in zip(np.flatnonzero(indicators).tolist(), revealed.tolist(), strict=True):
         if o[m] <= 0.0:
             raise ZeroObservationProbabilityError(
                 f"expert {m} was observed but has observation probability {o[m]}"
@@ -249,14 +219,14 @@ def finish_round(
     state: LearnerState,
     config: LearnerConfig,
     ctx: RoundContext,
-    selected: int,
-    outcome: ObservationOutcome,
-) -> tuple[RoundRecord, LearnerState]:
-    """Deterministic remainder of a round once the selection and the
-    observation outcome are fixed."""
-    observed = outcome.observed_losses
-    psi = min(state.psi, min(observed.values())) if observed else state.psi
-    phi = estimate(outcome, ctx.o, psi)
+    indicators: np.ndarray,
+    revealed: np.ndarray,
+) -> tuple[np.ndarray, RateUpdate, LearnerState]:
+    """Deterministic remainder of a round once the observation is fixed:
+    the indicator vector and the losses it revealed, in index order.
+    Returns the estimates, the rate update and the next state."""
+    psi = min([state.psi, *revealed.tolist()])
+    phi = estimate(indicators, revealed, ctx.o, psi)
     rate = update_rate(state, phi, ctx.p, config)
     if rate.eta is None:
         # all estimates so far are zero; any exponent gives the same weights
@@ -267,23 +237,6 @@ def finish_round(
         new_weights = advance(state.weights, phi, rate.eta, rate.eta, config.kernel)
     else:
         new_weights = advance(state.weights, phi, state.eta_prev, rate.eta, config.kernel)
-    record = RoundRecord(
-        t=state.t,
-        p=ctx.p,
-        q=ctx.q,
-        selected=selected,
-        outcome=outcome,
-        o=ctx.o,
-        phi=phi,
-        v_t=rate.v,
-        d_t=rate.d,
-        eta_t=rate.eta,
-        epsilon_t=ctx.epsilon,
-        psi_t=psi,
-        V=rate.V,
-        D=rate.D,
-        selected_loss=observed.get(selected, math.nan),
-    )
     new_state = LearnerState(
         t=state.t + 1,
         psi=psi,
@@ -292,7 +245,7 @@ def finish_round(
         eta_prev=rate.eta if rate.eta is not None else state.eta_prev,
         weights=new_weights,
     )
-    return record, new_state
+    return phi, rate, new_state
 
 
 def step(
@@ -301,8 +254,9 @@ def step(
     matrix: FeedbackMatrix,
     loss_oracle: Callable[[int], float],
     rng: np.random.Generator,
-) -> tuple[RoundRecord, LearnerState]:
-    """Play one round.
+) -> tuple[RoundContext, int, np.ndarray, np.ndarray, RateUpdate, LearnerState]:
+    """Play one round; returns the round's context, the selection, the
+    int8 indicators, the estimates, the rate update and the next state.
 
     ``loss_oracle`` is queried only at the indices the sampled indicators
     reveal. Consumes one uniform for the selection, then M uniforms for the
@@ -311,6 +265,8 @@ def step(
     ctx = prepare_round(state, config, matrix)
     selected = select(ctx.q, rng)
     indicators = sample_indicators(matrix, selected, rng)
-    observed = {int(m): float(loss_oracle(int(m))) for m in np.flatnonzero(indicators)}
-    outcome = ObservationOutcome(indicators, observed)
-    return finish_round(state, config, ctx, selected, outcome)
+    revealed = np.array(
+        [loss_oracle(m) for m in np.flatnonzero(indicators).tolist()], dtype=float
+    )
+    phi, rate, new_state = finish_round(state, config, ctx, indicators, revealed)
+    return ctx, selected, indicators, phi, rate, new_state

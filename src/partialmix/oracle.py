@@ -19,7 +19,6 @@ import numpy as np
 
 from .classnet import TableKernel
 from .environment import FeedbackProcess
-from .feedback import ObservationOutcome
 from .learner import LearnerConfig, finish_round, init_state, prepare_round
 
 
@@ -140,9 +139,8 @@ def exact_expected_regret(
                         f"outcome tree exceeds the limit {limit.max_outcomes}"
                     )
                 indicators = np.array(pattern, dtype=np.int8)
-                observed = {mm: float(row[mm]) for mm in np.flatnonzero(indicators)}
-                outcome = ObservationOutcome(indicators, observed)
-                _, next_state = finish_round(state, config, ctx, i, outcome)
+                revealed = row[np.flatnonzero(indicators)]
+                next_state = finish_round(state, config, ctx, indicators, revealed)[2]
                 total += recurse(
                     next_state, t + 1, probability * branch, learner_loss + row[i]
                 )

@@ -210,15 +210,9 @@ def affine_pair(
     base_t, base_r = play(base, 0.0, 1.0)
     scaled_t, scaled_r = play(scale * base + shift, shift, scale + shift)
 
-    q_diff = max(
-        float(np.max(np.abs(a.q - b.q)))
-        for a, b in zip(base_t.records, scaled_t.records)
-    )
-    selections_equal = bool(np.array_equal(base_t.selections, scaled_t.selections))
-    indicators_equal = all(
-        np.array_equal(a.outcome.indicators, b.outcome.indicators)
-        for a, b in zip(base_t.records, scaled_t.records)
-    )
+    q_diff = float(np.max(np.abs(base_t.q - scaled_t.q)))
+    selections_equal = bool(np.array_equal(base_t.selected, scaled_t.selected))
+    indicators_equal = bool(np.array_equal(base_t.indicators, scaled_t.indicators))
     expected = scale * base_r.realized_regret
     denom = max(abs(expected), 1e-12)
     return AffineComparison(

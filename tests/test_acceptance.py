@@ -14,7 +14,7 @@ from partialmix.classnet import fixed_share_kernel
 from partialmix.cli import main
 from partialmix.environment import CompetitorSpec, PiecewiseLosses, bandit_feedback, run_game
 from partialmix.evaluation import ExperimentBundle, fit_scaling, monte_carlo
-from partialmix.feedback import FeedbackMatrix, ObservationOutcome
+from partialmix.feedback import FeedbackMatrix
 from partialmix.learner import LearnerConfig, estimate
 from partialmix.oracle import exact_expected_regret
 from partialmix.validation import affine_pair, lemma_suite, oracle_equivalence_suite
@@ -93,12 +93,11 @@ class TestAcceptance:
             horizon, seed=424,
         )
         rounds = np.linspace(1, horizon, 10, dtype=int)
-        worst_sigma = 0.0
+        checked = []
         for t in rounds:
-            record = transcript.records[t - 1]
-            psi_prev = transcript.records[t - 2].psi_t if t > 1 else math.inf
+            psi_prev = transcript.psi[t - 2] if t > 1 else math.inf
             row = transcript.losses[t - 1]
-            q, o = record.q, record.o
+            q, o = transcript.q[t - 1], transcript.o[t - 1]
             sel = np.searchsorted(np.cumsum(q), rng.random(resamples), side="right")
             sel = np.minimum(sel, m - 1)
             indicators = rng.random((resamples, m)) < matrix.entries[:, sel].T
@@ -108,11 +107,11 @@ class TestAcceptance:
 
             # the vectorized resampler must agree with the estimator itself
             for k in rng.integers(resamples, size=25):
-                outcome = ObservationOutcome(
-                    indicators[k].astype(np.int8),
-                    {int(i): float(row[i]) for i in np.flatnonzero(indicators[k])},
+                np.testing.assert_allclose(
+                    estimate(indicators[k].astype(np.int8), row[indicators[k]], o, psi[k]),
+                    phi[k],
+                    atol=1e-12,
                 )
-                np.testing.assert_allclose(estimate(outcome, o, psi[k]), phi[k], atol=1e-12)
 
             mean_phi = phi.mean(axis=0)
             for arm in range(m):
@@ -126,13 +125,18 @@ class TestAcceptance:
                     abs(row[arm] - psi_bar) / o[arm]
                     * math.sqrt(o[arm] * (1 - o[arm]) / resamples)
                 )
-                assert abs(delta) <= 4 * se + 1e-12, (t, arm, delta, se)
-                if se > 0:
-                    worst_sigma = max(worst_sigma, abs(delta) / se)
+                checked.append((t, arm, delta, se))
+        ok = all(abs(delta) <= 4 * se + 1e-12 for _, _, delta, se in checked)
+        # sigma is meaningful only where 4 se exceeds the absolute slack;
+        # elsewhere se is about 0 and only the slack holds
+        sigmas = [abs(delta) / se for _, _, delta, se in checked if 4 * se > 1e-12]
         report(
-            4, "estimator unbiasedness",
-            True, f"10 frozen rounds x {resamples} resamples, worst |delta|/se {worst_sigma:.2f}",
+            4, "estimator unbiasedness", ok,
+            f"10 frozen rounds x {resamples} resamples, worst |delta|/se "
+            f"{max(sigmas, default=0.0):.2f} over {len(sigmas)} of {len(checked)} rows",
         )
+        for t, arm, delta, se in checked:
+            assert abs(delta) <= 4 * se + 1e-12, (t, arm, delta, se)
 
     def test_5_exact_expectation_cross_check(self):
         started = time.perf_counter()

@@ -1,0 +1,71 @@
+"""The benchmark's tracer wraps partialmix functions by module and name.
+
+A rename or a call that no longer goes through a traced name would leave
+``bench/run.py --trace 1`` reporting zeros, so these tests load
+``bench/tracer.py`` (without changing it) and check its hooks.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from partialmix import environment
+from partialmix.classnet import fixed_share_kernel
+from partialmix.learner import LearnerConfig
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # leave no bytecode cache behind in bench/
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_every_traced_function_resolves(tracer_module):
+    for module_name, fn_name in tracer_module.FUNCTIONS:
+        module = importlib.import_module(f"partialmix.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"{module_name}.{fn_name}"
+
+
+def test_loss_processes_define_generate(tracer_module):
+    wrapped = {
+        cls.__name__
+        for cls in tracer_module._subclasses(environment.LossProcess)
+        if "generate" in vars(cls)
+    }
+    assert {"ScriptedLosses", "IIDLosses", "PiecewiseLosses"} <= wrapped
+
+
+def test_traced_game_reaches_every_round_layer(tracer_module):
+    horizon, m = 12, 3
+    config = LearnerConfig(n_experts=m, kernel=fixed_share_kernel(m, 0.1), w_budget=5.0)
+    losses = environment.PiecewiseLosses(m, (0.0, 1.0), [0, 1], [0.5])
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        environment.run_game(config, losses, environment.bandit_feedback(m), horizon, seed=1)
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    assert layers["environment.run_game_calls"] == 1
+    assert layers["learner.step_calls"] == horizon
+    assert layers["classnet.advance_calls"] == horizon
+    assert layers["feedback.revealed_losses"] == horizon
+    for name in (
+        "learner.prepare_round", "learner.select", "learner.finish_round",
+        "learner.estimate", "learner.update_rate", "feedback.observation_probabilities",
+        "feedback.sample_indicators", "classnet.expert_marginals", "environment.generate",
+    ):
+        assert layers[f"{name}_s"] > 0.0, name

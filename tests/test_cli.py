@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -81,6 +80,15 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["realized_regret"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("command, artifact", [("run", "report.json"), ("batch", "batch.json")])
+    def test_zero_epsilon_reports_an_infinite_bound(self, tmp_path, command, artifact):
+        # the bound's M / eps_T term is infinite, so no guarantee applies
+        path = write_config(tmp_path, epsilon=0.0, feedback={"kind": "full"})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads((out / artifact).read_text())
+        assert payload["bound_theorem"] == payload["bound_cleaner"] == math.inf
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -101,17 +109,17 @@ def reference_rounds_csv(transcript, competitor, run_index):
     )
     lines = [",".join(header)]
     cum_loss = cum_regret = 0.0
-    for record, arm in zip(transcript.records, competitor.experts):
-        competitor_loss = float(transcript.losses[record.t - 1, arm])
-        cum_loss += record.selected_loss
-        cum_regret += record.selected_loss - competitor_loss
+    tr = transcript
+    for i, arm in enumerate(competitor.experts):
+        competitor_loss = float(tr.losses[i, arm])
+        cum_loss += tr.selected_loss[i]
+        cum_regret += tr.selected_loss[i] - competitor_loss
         row = [
-            str(run_index), str(record.t), _fmt(record.epsilon_t),
-            _fmt(record.eta_t) if record.eta_t is not None else "nan",
-            _fmt(record.psi_t), _fmt(record.V), _fmt(record.D), str(record.selected + 1),
-            _fmt(record.selected_loss), _fmt(cum_loss), str(int(arm) + 1),
+            str(run_index), str(i + 1), _fmt(tr.epsilon[i]), _fmt(tr.eta[i]),
+            _fmt(tr.psi[i]), _fmt(tr.V[i]), _fmt(tr.D[i]), str(tr.selected[i] + 1),
+            _fmt(tr.selected_loss[i]), _fmt(cum_loss), str(int(arm) + 1),
             _fmt(competitor_loss), _fmt(cum_regret),
-        ] + [_fmt(v) for v in record.q]
+        ] + [_fmt(v) for v in tr.q[i]]
         lines.append(",".join(row))
     return ("\n".join(lines) + "\n").encode()
 
@@ -130,9 +138,11 @@ class TestRoundsCsv:
             (1e300, math.inf, [1e300, 1e-300, -0.0, 0.5]),
         ]
         for i, (eta, v, q) in enumerate(extremes):
-            transcript.records[i] = dataclasses.replace(
-                transcript.records[i], eta_t=eta, V=v, psi_t=-v, q=np.array(q)
-            )
+            # an unset rate is stored as NaN
+            transcript.eta[i] = math.nan if eta is None else eta
+            transcript.V[i] = v
+            transcript.psi[i] = -v
+            transcript.q[i] = q
         competitor = CompetitorSequence.from_experts([0, 1, 2, 3, 0, 1], config.kernel)
         path = tmp_path / "rounds.csv"
         write_rounds_csv(path, transcript, competitor, 7)

@@ -166,6 +166,32 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"epsilon": [1.0, 0.8, 0.6, 0.5]}, "epsilon: schedule has 4 entries, horizon is 8"),
+            (
+                {"loss": {"kind": "scripted", "range": [0, 1], "values": [[0.1, 0.2]] * 4}},
+                "loss: script covers 4 rounds, horizon 8 asked",
+            ),
+            (
+                {"feedback": {"kind": "scripted", "matrices": [[[1.0, 0.0], [0.0, 1.0]]] * 4}},
+                "feedback: feedback script covers 4 rounds, horizon 8 asked",
+            ),
+            (
+                {"competitor": {"kind": "explicit", "sequence": [1, 2, 1, 2]}},
+                "competitor.sequence: has 4 rounds, horizon is 8",
+            ),
+        ],
+    )
+    def test_sweep_horizon_beyond_an_input(self, overrides, message):
+        # each input covers the 4-round horizon but not the sweep's 8 rounds
+        raw = base_config(horizon=4, sweep={"horizons": [4, 8]}, **overrides)
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.path == "sweep.horizons[1]"
+        assert str(info.value) == f"sweep.horizons[1]: {message}"
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"experts": 2,\n  "horizon": }\n')

@@ -102,7 +102,7 @@ class TestRunGame:
         a = run_game(config, losses, bandit_feedback(3), 100, seed=4)
         b = run_game(config, losses, bandit_feedback(3), 100, seed=4)
         assert a.cumulative_loss == b.cumulative_loss
-        np.testing.assert_array_equal(a.selections, b.selections)
+        np.testing.assert_array_equal(a.selected, b.selected)
         np.testing.assert_array_equal(a.losses, b.losses)
 
     def test_equal_losses_zero_regret(self):
@@ -125,11 +125,11 @@ class TestRunGame:
         losses = IIDLosses([UniformArm(0, 1)] * 3, (0.0, 1.0))
         transcript = run_game(config, losses, bandit_feedback(3), 200, seed=8)
         assert transcript.cumulative_loss == pytest.approx(
-            sum(r.selected_loss for r in transcript.records), abs=1e-9
+            sum(transcript.selected_loss), abs=1e-9
         )
         # selected_loss always filled from the true loss row
-        for record in transcript.records:
-            assert record.selected_loss == transcript.losses[record.t - 1, record.selected]
+        for t in range(200):
+            assert transcript.selected_loss[t] == transcript.losses[t, transcript.selected[t]]
 
     def test_scripted_feedback_game(self):
         rng = np.random.default_rng(12)
@@ -142,9 +142,9 @@ class TestRunGame:
         transcript = run_game(config, losses, ScriptedFeedback(matrices), 10, seed=13)
         assert transcript.horizon == 10
         # round 1 is bandit feedback: exactly the selected arm is revealed
-        first = transcript.records[0]
-        assert first.outcome.indicators[first.selected] == 1
-        assert first.outcome.indicators.sum() == 1
+        first = transcript.indicators[0]
+        assert first[transcript.selected[0]] == 1
+        assert first.sum() == 1
 
     def test_dimension_mismatch_rejected(self):
         config = bandit_config(3)

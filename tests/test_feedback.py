@@ -5,7 +5,6 @@ from partialmix.feedback import (
     DimensionMismatchError,
     EntryOutOfRangeError,
     FeedbackMatrix,
-    ObservationOutcome,
     RowSumDeficientError,
     full_feedback,
     identity_feedback,
@@ -16,12 +15,10 @@ from partialmix.feedback import (
 
 
 def observe(matrix, selected, losses, rng):
-    """Sampled indicators with the revealed loss values, as the learner
-    builds them."""
+    """Sampled indicators with the revealed loss values in index order, as
+    the learner builds them."""
     indicators = sample_indicators(matrix, selected, rng)
-    return ObservationOutcome(
-        indicators, {int(m): float(losses[m]) for m in np.flatnonzero(indicators)}
-    )
+    return indicators, losses[np.flatnonzero(indicators)]
 
 
 class TestValidate:
@@ -109,23 +106,23 @@ class TestSampling:
     def test_identity_observes_only_selected(self):
         rng = np.random.default_rng(2)
         losses = np.array([0.1, 0.2, 0.3])
-        outcome = observe(identity_feedback(3), 1, losses, rng)
-        np.testing.assert_array_equal(outcome.indicators, [0, 1, 0])
-        assert outcome.observed_losses == {1: 0.2}
+        indicators, revealed = observe(identity_feedback(3), 1, losses, rng)
+        np.testing.assert_array_equal(indicators, [0, 1, 0])
+        np.testing.assert_array_equal(revealed, [0.2])
 
     def test_full_mode_observes_all(self):
         rng = np.random.default_rng(3)
-        outcome = observe(full_feedback(3), 0, np.array([0.1, 0.2, 0.3]), rng)
-        np.testing.assert_array_equal(outcome.indicators, [1, 1, 1])
-        assert outcome.observed_losses == {0: 0.1, 1: 0.2, 2: 0.3}
+        indicators, revealed = observe(full_feedback(3), 0, np.array([0.1, 0.2, 0.3]), rng)
+        np.testing.assert_array_equal(indicators, [1, 1, 1])
+        np.testing.assert_array_equal(revealed, [0.1, 0.2, 0.3])
 
     def test_deterministic_given_seed(self):
         matrix = FeedbackMatrix(np.full((3, 3), 1.0 / 3))
         losses = np.array([0.5, 0.6, 0.7])
         first = observe(matrix, 2, losses, np.random.default_rng(11))
         second = observe(matrix, 2, losses, np.random.default_rng(11))
-        np.testing.assert_array_equal(first.indicators, second.indicators)
-        assert first.observed_losses == second.observed_losses
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
 
     def test_indicator_frequency_matches_probability(self):
         # every arm observed with probability 0.5 regardless of selection
@@ -152,13 +149,3 @@ class TestSampling:
         freq = indicators.mean(axis=0)
         four_se = 4 * np.sqrt(o * (1 - o) / n)
         assert np.all(np.abs(freq - o) <= four_se + 1e-12)
-
-
-class TestObservationOutcome:
-    def test_keys_must_match_indicators(self):
-        with pytest.raises(ValueError, match="indicator-1"):
-            ObservationOutcome(np.array([1, 0]), {1: 0.5})
-
-    def test_observed_indices(self):
-        outcome = ObservationOutcome(np.array([1, 0, 1]), {0: 0.1, 2: 0.2})
-        np.testing.assert_array_equal(outcome.observed_indices, [0, 2])

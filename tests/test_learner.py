@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from partialmix.classnet import ClassId, TableKernel, fixed_kernel, fixed_share_kernel
-from partialmix.feedback import (
-    FeedbackMatrix,
-    ObservationOutcome,
-    full_feedback,
-    identity_feedback,
-)
+from partialmix.feedback import FeedbackMatrix, full_feedback, identity_feedback
 from partialmix.learner import (
     LearnerConfig,
     LearnerState,
@@ -29,15 +24,17 @@ def bandit_config(m=2, w=1.0, **kwargs):
 
 
 def play(config, matrix, losses, seed=0):
-    """Drive the learner directly over a scripted loss matrix."""
+    """Drive the learner directly over a scripted loss matrix; one
+    ``(ctx, selected, indicators, phi, rate, state)`` tuple per round."""
     rng = np.random.default_rng(seed)
     state = init_state(config)
-    records = []
+    rounds = []
     for t in range(losses.shape[0]):
         row = losses[t]
-        record, state = step(state, config, matrix, lambda m: row[m], rng)
-        records.append(record)
-    return records, state
+        result = step(state, config, matrix, lambda m: row[m], rng)
+        state = result[-1]
+        rounds.append(result)
+    return rounds, state
 
 
 class TestEpsilonSchedule:
@@ -112,24 +109,24 @@ class TestSelect:
 
 class TestEstimate:
     def test_unobserved_is_zero(self):
-        outcome = ObservationOutcome(np.array([0, 1]), {1: 0.7})
-        phi = estimate(outcome, np.array([0.5, 0.5]), 0.7)
+        phi = estimate(np.array([0, 1]), np.array([0.7]), np.array([0.5, 0.5]), 0.7)
         assert phi[0] == 0.0
 
     def test_minimum_attains_zero(self):
-        outcome = ObservationOutcome(np.array([1, 0]), {0: 0.4})
-        phi = estimate(outcome, np.array([0.8, 0.2]), 0.4)
+        phi = estimate(np.array([1, 0]), np.array([0.4]), np.array([0.8, 0.2]), 0.4)
         np.testing.assert_allclose(phi, [0.0, 0.0])
 
     def test_hand_value(self):
-        outcome = ObservationOutcome(np.array([1, 0]), {0: 0.8})
-        phi = estimate(outcome, np.array([0.5, 0.5]), 0.2)
+        phi = estimate(np.array([1, 0]), np.array([0.8]), np.array([0.5, 0.5]), 0.2)
         assert phi[0] == pytest.approx(1.2, rel=1e-12)
 
+    def test_revealed_must_match_indicators(self):
+        with pytest.raises(ValueError):
+            estimate(np.array([1, 1]), np.array([0.3]), np.array([0.5, 0.5]), 0.1)
+
     def test_zero_observation_probability(self):
-        outcome = ObservationOutcome(np.array([1, 0]), {0: 0.8})
         with pytest.raises(ZeroObservationProbabilityError):
-            estimate(outcome, np.array([0.0, 1.0]), 0.2)
+            estimate(np.array([1, 0]), np.array([0.8]), np.array([0.0, 1.0]), 0.2)
 
 
 class TestUpdateRate:
@@ -167,9 +164,10 @@ class TestStep:
     def test_single_expert_forced(self):
         config = bandit_config(1)
         losses = np.random.default_rng(2).uniform(size=(50, 1))
-        records, _ = play(config, identity_feedback(1), losses)
-        assert all(r.selected == 0 for r in records)
-        assert sum(r.selected_loss for r in records) == pytest.approx(losses.sum())
+        rounds, _ = play(config, identity_feedback(1), losses)
+        selections = [selected for _, selected, *_ in rounds]
+        assert selections == [0] * 50
+        assert losses[np.arange(50), selections].sum() == pytest.approx(losses.sum())
 
     def test_bitwise_deterministic(self):
         config = bandit_config(3, w=2.0)
@@ -177,23 +175,25 @@ class TestStep:
         first, _ = play(config, identity_feedback(3), losses, seed=9)
         second, _ = play(config, identity_feedback(3), losses, seed=9)
         for a, b in zip(first, second):
-            assert a.selected == b.selected
-            assert np.array_equal(a.q, b.q)
-            assert np.array_equal(a.outcome.indicators, b.outcome.indicators)
-            assert a.psi_t == b.psi_t and a.eta_t == b.eta_t and a.v_t == b.v_t
+            ctx_a, sel_a, ind_a, _, rate_a, state_a = a
+            ctx_b, sel_b, ind_b, _, rate_b, state_b = b
+            assert sel_a == sel_b
+            assert np.array_equal(ctx_a.q, ctx_b.q)
+            assert np.array_equal(ind_a, ind_b)
+            assert state_a.psi == state_b.psi and rate_a.eta == rate_b.eta and rate_a.v == rate_b.v
 
     def test_monotone_state_invariants(self):
         rng = np.random.default_rng(4)
         config = LearnerConfig(n_experts=3, kernel=fixed_share_kernel(3, 0.05), w_budget=8.0)
         matrix = FeedbackMatrix(np.vstack([rng.dirichlet(np.ones(3)) for _ in range(3)]))
         losses = rng.uniform(size=(300, 3))
-        records, _ = play(config, matrix, losses, seed=11)
-        psi = [r.psi_t for r in records]
+        rounds, _ = play(config, matrix, losses, seed=11)
+        psi = [state.psi for *_, state in rounds]
         assert all(b <= a for a, b in zip(psi, psi[1:]))
-        etas = [r.eta_t for r in records if r.eta_t is not None]
+        etas = [rate.eta for *_, rate, _ in rounds if rate.eta is not None]
         assert all(b <= a + 1e-15 for a, b in zip(etas, etas[1:]))
-        V = [r.V for r in records]
-        D = [r.D for r in records]
+        V = [rate.V for *_, rate, _ in rounds]
+        D = [rate.D for *_, rate, _ in rounds]
         assert all(b >= a for a, b in zip(V, V[1:]))
         assert all(b >= a for a, b in zip(D, D[1:]))
 
@@ -202,20 +202,20 @@ class TestStep:
         config = bandit_config(4, w=3.0)
         matrix = FeedbackMatrix(np.vstack([rng.dirichlet(np.ones(4)) for _ in range(4)]))
         losses = rng.uniform(size=(200, 4))
-        records, _ = play(config, matrix, losses, seed=12)
-        for r in records:
-            assert np.all(r.phi >= 0.0)
-            assert np.all(r.phi[r.outcome.indicators == 0] == 0.0)
+        rounds, _ = play(config, matrix, losses, seed=12)
+        for _, _, indicators, phi, _, _ in rounds:
+            assert np.all(phi >= 0.0)
+            assert np.all(phi[indicators == 0] == 0.0)
 
     def test_observation_floor_every_round(self):
         rng = np.random.default_rng(6)
         config = bandit_config(5, w=4.0)
         matrix = FeedbackMatrix(np.vstack([rng.dirichlet(np.ones(5)) for _ in range(5)]))
         losses = rng.uniform(size=(200, 5))
-        records, _ = play(config, matrix, losses, seed=13)
-        for r in records:
-            assert np.all(r.o >= r.epsilon_t / 5 * (1 - 1e-12))
-            assert np.all(r.q >= r.epsilon_t / 5)
+        rounds, _ = play(config, matrix, losses, seed=13)
+        for ctx, *_ in rounds:
+            assert np.all(ctx.o >= ctx.epsilon / 5 * (1 - 1e-12))
+            assert np.all(ctx.q >= ctx.epsilon / 5)
 
     def test_learner_queries_only_revealed_losses(self):
         rng = np.random.default_rng(7)
@@ -234,12 +234,12 @@ class TestStep:
                 queried.append(m)
                 return row[m]
 
-            record, state = step(state, config, matrix, oracle, play_rng)
-            revealed = set(int(i) for i in record.outcome.observed_indices)
+            _, _, indicators, _, _, state = step(state, config, matrix, oracle, play_rng)
+            revealed = set(int(i) for i in np.flatnonzero(indicators))
             assert set(queried) == revealed
             assert len(queried) == len(revealed)
             total_queried += len(queried)
-            total_observed += int(record.outcome.indicators.sum())
+            total_observed += int(indicators.sum())
         assert total_queried == total_observed
 
     def test_observation_floor_violation_aborts(self):
@@ -248,16 +248,6 @@ class TestStep:
         config = bandit_config(2, w=1.0)
         with pytest.raises(RuntimeError, match="floor"):
             play(config, matrix, np.full((3, 2), 0.5))
-
-    def test_selected_loss_nan_when_hidden(self):
-        # scheme that reveals only the *other* arm
-        matrix = FeedbackMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "strict")
-        config = bandit_config(2, w=1.0)
-        losses = np.random.default_rng(8).uniform(size=(5, 2))
-        records, _ = play(config, matrix, losses, seed=15)
-        for r in records:
-            assert math.isnan(r.selected_loss)
-            assert r.outcome.indicators[r.selected] == 0
 
     def test_full_feedback_fixed_eta_matches_exponential_weights(self):
         # with everything revealed, o = 1 and the identity-kernel marginals
@@ -269,7 +259,7 @@ class TestStep:
             n_experts=m, kernel=fixed_kernel(m), gamma=1.0, epsilon=0.0, fixed_eta=eta
         )
         losses = rng.uniform(size=(horizon, m))
-        records, state = play(config, full_feedback(m), losses, seed=17)
+        rounds, state = play(config, full_feedback(m), losses, seed=17)
         from partialmix.classnet import expert_marginals
 
         got = expert_marginals(state.weights, config.kernel)
@@ -281,10 +271,10 @@ class TestStep:
         # and the path-enumeration oracle agrees on the recorded estimates
         from partialmix.oracle import enumerate_weights
 
-        phi_history = np.stack([r.phi for r in records[:6]])
+        phi_history = np.stack([phi for _, _, _, phi, _, _ in rounds[:6]])
         short, _ = play(config, full_feedback(m), losses[:6], seed=17)
         np.testing.assert_allclose(
-            np.stack([r.phi for r in short]), phi_history, atol=1e-12
+            np.stack([phi for _, _, _, phi, _, _ in short]), phi_history, atol=1e-12
         )
         state6 = play(config, full_feedback(m), losses[:6], seed=17)[1]
         np.testing.assert_allclose(

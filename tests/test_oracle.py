@@ -80,7 +80,6 @@ class TestExactExpectedRegret:
             n_experts=2, kernel=fixed_kernel(2), gamma=1.0, epsilon=0.5
         )
         losses = np.array([[0.2, 0.9], [0.1, 0.8]])
-        from partialmix.feedback import ObservationOutcome
         from partialmix.learner import finish_round, init_state, prepare_round
 
         matrix = full_feedback_process(2).matrix_at(1)
@@ -88,10 +87,9 @@ class TestExactExpectedRegret:
         state0 = init_state(config)
         ctx1 = prepare_round(state0, config, matrix)
         for i in range(2):
-            outcome = ObservationOutcome(
-                np.array([1, 1]), {0: losses[0, 0], 1: losses[0, 1]}
+            _, _, state1 = finish_round(
+                state0, config, ctx1, np.array([1, 1], dtype=np.int8), losses[0]
             )
-            _, state1 = finish_round(state0, config, ctx1, i, outcome)
             ctx2 = prepare_round(state1, config, matrix)
             for j in range(2):
                 expected += ctx1.q[i] * ctx2.q[j] * (losses[0, i] + losses[1, j])
