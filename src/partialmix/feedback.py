@@ -14,7 +14,7 @@ importance-weighted estimates bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,14 +41,26 @@ class DimensionMismatchError(FeedbackError):
 class FeedbackMatrix:
     """Observation-probability matrix together with its validation mode.
 
-    Rows index the observed expert, columns the selected expert.
+    Rows index the observed expert, columns the selected expert. A
+    strict-mode identity (bandit feedback) is recognized once, here, and
+    takes an O(M) path in ``observation_probabilities`` and
+    ``sample_indicators`` with the same results as the dense one.
     """
 
     entries: np.ndarray
     mode: str = "strict"
+    _identity: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
+        # a private read-only copy: the identity flag below cannot go stale
+        entries = np.array(self.entries, dtype=float)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+        square = entries.ndim == 2 and entries.shape[0] == entries.shape[1]
+        object.__setattr__(self, "_identity", bool(
+            self.mode == "strict" and square and np.all(entries.diagonal() == 1.0)
+            and np.count_nonzero(entries) == len(entries)
+        ))
 
     @property
     def n_experts(self) -> int:
@@ -120,6 +132,9 @@ def observation_probabilities(matrix: FeedbackMatrix, q: np.ndarray) -> np.ndarr
             f"selection probabilities have shape {q.shape}, matrix expects "
             f"({matrix.n_experts},)"
         )
+    if matrix._identity:
+        # bit-equal to the mat-vec: each o_m is 1 * q_m plus zeros
+        return q.copy()
     return matrix.entries @ q
 
 
@@ -133,5 +148,11 @@ def sample_indicators(
     order ``m = 0..M-1``.
     """
     u = rng.random(matrix.n_experts)
+    if matrix._identity:
+        # u < 1 always and u < 0 never: only the selected loss is revealed,
+        # and the uniforms are still drawn so the stream does not move
+        indicators = np.zeros(matrix.n_experts, dtype=np.int8)
+        indicators[selected] = 1
+        return indicators
     return (u < matrix.entries[:, selected]).astype(np.int8)
 

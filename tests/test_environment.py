@@ -6,6 +6,7 @@ import pytest
 
 from partialmix.classnet import fixed_kernel, fixed_share_kernel
 from partialmix.environment import (
+    _ARRAY_DP_MIN_EXPERTS,
     BernoulliArm,
     CompetitorSpec,
     ConstantFeedback,
@@ -199,6 +200,101 @@ class TestBestCompetitor:
             seq = best_competitor(losses, kernel, k)
             values.append(losses[np.arange(50), seq.experts].sum())
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def reference_best_path(losses, max_switches):
+    """The k-switch DP as it stood before its float and array forms: one
+    numpy call per (round, budget) step. Kept here as the differential
+    reference; both forms must return its path exactly."""
+    horizon, m = losses.shape
+    k = min(max_switches, horizon - 1)
+    cost = np.tile(losses[0], (k + 1, 1))
+    origin = np.zeros((horizon, k + 1, m), dtype=np.int32)
+    for t in range(1, horizon):
+        new_cost = np.empty_like(cost)
+        new_origin = origin[t]
+        new_cost[0] = cost[0]
+        for j in range(1, k + 1):
+            prev = cost[j - 1]
+            best = int(np.argmin(prev))
+            runner = np.partition(prev, 1)[1] if m > 1 else prev[best]
+            switched = np.full(m, prev[best])
+            switched_from = np.full(m, best, dtype=np.int32)
+            if m > 1:
+                switched[best] = runner
+                switched_from[best] = int(
+                    np.argmin(np.where(np.arange(m) == best, np.inf, prev))
+                )
+            use_switch = switched < cost[j]
+            new_cost[j] = np.where(use_switch, switched, cost[j])
+            new_origin[j] = np.where(use_switch, switched_from + 1, 0)
+        cost = new_cost + losses[t]
+    j = int(np.argmin(cost.min(axis=1)))
+    arm = int(np.argmin(cost[j]))
+    path = np.empty(horizon, dtype=int)
+    for t in range(horizon - 1, 0, -1):
+        path[t] = arm
+        move = origin[t, j, arm]
+        if move:
+            arm = int(move - 1)
+            j -= 1
+    path[0] = arm
+    return path
+
+
+# expert counts on both sides of the float/array crossover of the DP
+BELOW, AT = _ARRAY_DP_MIN_EXPERTS - 1, _ARRAY_DP_MIN_EXPERTS
+
+
+class TestBestCompetitorDifferential:
+    """Both forms of the DP against the reference, on continuous losses and
+    on small integers, where equal totals are common and the tie rules
+    (lowest arm, then smallest budget) decide the path."""
+
+    @staticmethod
+    def losses(kind, horizon, m, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "continuous":
+            return rng.uniform(size=(horizon, m))
+        return rng.integers(0, 3, size=(horizon, m)).astype(float)
+
+    def check(self, losses, k):
+        got = best_competitor(losses, fixed_kernel(losses.shape[1]), k)
+        np.testing.assert_array_equal(got.experts, reference_best_path(losses, k))
+
+    def test_crossover_splits_the_cases(self):
+        assert 2 <= BELOW < AT <= 254
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    @pytest.mark.parametrize(
+        "horizon, m, k",
+        [
+            (1, 1, 0), (1, 4, 3), (1, AT, 2),  # one round
+            (7, 1, 3), (40, 1, 0),  # one expert
+            (60, 4, 0), (60, AT, 0),  # no switch
+            (6, 3, 10), (6, AT, 5), (6, BELOW, 6),  # budget at or past T - 1
+            (300, 2, 1), (300, 4, 2), (200, 7, 5),
+            (120, BELOW, 2), (120, AT, 2), (80, 64, 3),
+        ],
+    )
+    def test_matches_reference(self, kind, horizon, m, k):
+        self.check(self.losses(kind, horizon, m, seed=horizon * 1000 + m * 10 + k), k)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, BELOW, AT])
+    def test_random_tie_heavy(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(15):
+            horizon = int(rng.integers(1, 30))
+            k = int(rng.integers(0, 6))
+            losses = rng.integers(0, 2, size=(horizon, m)).astype(float)
+            self.check(losses, k)
+
+    @pytest.mark.parametrize("m", [4, AT])
+    def test_all_equal_losses_stay_on_the_first_arm(self, m):
+        losses = np.full((25, m), 0.5)
+        self.check(losses, 3)
+        seq = best_competitor(losses, fixed_kernel(m), 3)
+        np.testing.assert_array_equal(seq.experts, 0)
 
 
 class TestCompetitorSpec:

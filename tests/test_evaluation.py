@@ -320,3 +320,21 @@ class TestAffineEnvelope:
         cmp = affine_pair(1.0, 1e3, horizon=1000, seed=7)
         assert cmp.selections_equal and cmp.indicators_equal
         assert cmp.q_sup_diff <= 1e-4
+
+    def test_shift_1e4_stays_aligned(self):
+        # the last aligned row of the README's table: 5.5e-4 measured
+        from partialmix.validation import affine_pair
+
+        cmp = affine_pair(1.0, 1e4, horizon=1000, seed=7)
+        assert cmp.selections_equal and cmp.indicators_equal
+        assert cmp.q_sup_diff <= 1e-3
+
+    def test_shift_1e12_diverges(self):
+        # far outside the envelope the shifted game is a different game; a
+        # change that made this pass would have moved the envelope and the
+        # README's table with it
+        from partialmix.validation import affine_pair
+
+        cmp = affine_pair(1.0, 1e12, horizon=1000, seed=7)
+        assert not cmp.selections_equal
+        assert cmp.q_sup_diff > 1e-2

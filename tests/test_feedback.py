@@ -149,3 +149,71 @@ class TestSampling:
         freq = indicators.mean(axis=0)
         four_se = 4 * np.sqrt(o * (1 - o) / n)
         assert np.all(np.abs(freq - o) <= four_se + 1e-12)
+
+
+class TestIdentityFastPath:
+    """A strict identity is recognized at construction and answered in O(M),
+    with the bits, indicators and random stream of the dense mat-vec."""
+
+    @pytest.mark.parametrize("m", [1, 4, 256, 1024])
+    def test_o_bit_equal_to_matvec(self, m):
+        matrix = identity_feedback(m)
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            q = rng.dirichlet(np.ones(m))
+            o = observation_probabilities(matrix, q)
+            assert o is not q
+            assert o.tobytes() == (matrix.entries @ q).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 4, 256, 1024])
+    def test_indicators_and_stream_match_dense(self, m):
+        matrix = identity_feedback(m)
+        for selected in sorted({0, m // 2, m - 1}):
+            fast_rng = np.random.default_rng(100 + selected)
+            dense_rng = np.random.default_rng(100 + selected)
+            indicators = sample_indicators(matrix, selected, fast_rng)
+            dense = (dense_rng.random(m) < matrix.entries[:, selected]).astype(np.int8)
+            assert indicators.dtype == np.int8
+            np.testing.assert_array_equal(indicators, dense)
+            assert fast_rng.bit_generator.state == dense_rng.bit_generator.state
+
+    def test_entries_are_a_read_only_copy(self):
+        source = np.eye(3)
+        matrix = FeedbackMatrix(source)
+        source[0, 1] = 0.5
+        assert matrix._identity and matrix.entries[0, 1] == 0.0
+        with pytest.raises(ValueError):
+            matrix.entries[0, 1] = 0.5
+
+    def test_identity_from_config_and_script_takes_the_fast_path(self):
+        from partialmix.config import parse_feedback_process
+        from partialmix.environment import ScriptedFeedback
+
+        eye = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        constant = parse_feedback_process({"kind": "constant", "matrix": eye}, 3)
+        scripted = parse_feedback_process({"kind": "scripted", "matrices": [eye, eye]}, 3)
+        assert constant.matrix_at(1)._identity
+        assert all(scripted.matrix_at(t)._identity for t in (1, 2))
+        direct = ScriptedFeedback([FeedbackMatrix(np.eye(3)), identity_feedback(3)])
+        assert all(direct.matrix_at(t)._identity for t in (1, 2))
+        assert parse_feedback_process({"kind": "bandit"}, 3).matrix_at(1)._identity
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            full_feedback(1),
+            full_feedback(4),
+            FeedbackMatrix(np.eye(1), "full"),
+            FeedbackMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), "strict"),
+            FeedbackMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "strict"),
+            FeedbackMatrix(np.full((3, 3), 1.0 / 3), "strict"),
+        ],
+    )
+    def test_other_matrices_keep_the_matvec(self, matrix):
+        assert not matrix._identity
+        m = matrix.n_experts
+        q = np.random.default_rng(3).dirichlet(np.ones(m))
+        assert observation_probabilities(matrix, q).tobytes() == (matrix.entries @ q).tobytes()
+        fast_rng, dense_rng = np.random.default_rng(4), np.random.default_rng(4)
+        dense = (dense_rng.random(m) < matrix.entries[:, m - 1]).astype(np.int8)
+        np.testing.assert_array_equal(sample_indicators(matrix, m - 1, fast_rng), dense)
