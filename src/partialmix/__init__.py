@@ -10,7 +10,6 @@ evaluation, and brute-force oracles for desk-scale verification.
 """
 
 from .classnet import (
-    ClassId,
     CompetitorSequence,
     TableKernel,
     advance,

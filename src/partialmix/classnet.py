@@ -20,7 +20,6 @@ drops, then mixes through the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,23 +59,15 @@ def logsumexp(a: np.ndarray, axis: int | None = None):
     return np.squeeze(s, axis=axis)
 
 
-@dataclass(frozen=True, order=True)
-class ClassId:
-    """Equivalence-class key: the current expert plus an opaque extension tag
-    for kernels whose classes carry extra parameters."""
-
-    expert: int
-    tag: str | None = None
-
-
 class TableKernel:
     """Time-invariant Markov prior over class successions.
 
-    ``classes`` is the class list, ``prior`` the initial distribution over
-    it and ``matrix`` the row-stochastic transition table (rows are
-    predecessors); ``log_matrix`` holds its logs with zeros as ``-inf``.
-    ``experts[i]`` is the expert of ``classes[i]``. Kernels are immutable
-    and freely shareable across runs.
+    A class is an index ``i`` into ``experts``, the int array of each
+    class's expert; an expert may have several classes or none. ``prior``
+    is the initial distribution over classes and ``matrix`` the
+    row-stochastic transition table (rows are predecessors);
+    ``log_matrix`` holds its logs with zeros as ``-inf``. Kernels are
+    immutable and freely shareable across runs.
 
     A table of the form ``off * J + diag(stay)`` with ``stay >= 0`` (fixed
     and fixed-share kernels among them) mixes in O(n) through the closed
@@ -85,20 +76,16 @@ class TableKernel:
     """
 
     def __init__(
-        self,
-        classes: tuple[ClassId, ...] | list[ClassId],
-        prior: np.ndarray,
-        matrix: np.ndarray,
-        n_experts: int | None = None,
+        self, experts: np.ndarray, prior: np.ndarray, matrix: np.ndarray, n_experts: int
     ):
-        classes = tuple(classes)
-        if not classes:
+        experts = np.asarray(experts)
+        if experts.size == 0:
             raise EmptyClassSetError("kernel needs at least one class")
-        if len(set(classes)) != len(classes):
-            raise ClassNetError("duplicate class ids in kernel")
+        if experts.ndim != 1 or experts.dtype.kind not in "iu":
+            raise ClassNetError("class experts must be a 1-D integer array")
         prior = np.asarray(prior, dtype=float)
         matrix = np.asarray(matrix, dtype=float)
-        n = len(classes)
+        n = len(experts)
         if prior.shape != (n,):
             raise ClassNetError(f"prior has shape {prior.shape}, expected ({n},)")
         if matrix.shape != (n, n):
@@ -115,15 +102,17 @@ class TableKernel:
             raise ClassNetError(
                 f"transition row {bad[0]} sums to {row_sums[bad[0]]:.12g}, not 1"
             )
-        experts = np.array([c.expert for c in classes], dtype=int)
-        inferred = int(experts.max()) + 1
-        self.n_experts = inferred if n_experts is None else int(n_experts)
+        self.n_experts = int(n_experts)
         if np.any(experts < 0) or np.any(experts >= self.n_experts):
             raise ClassNetError("class expert index out of range")
-        self.classes = classes
         self.prior = prior
         self.matrix = matrix
-        self.experts = experts
+        self.experts = experts.astype(int)
+        # the class of each expert that has exactly one, else -1
+        counts = np.bincount(self.experts, minlength=self.n_experts)
+        self._class_of = np.full(self.n_experts, -1)
+        single = counts[self.experts] == 1
+        self._class_of[self.experts[single]] = np.flatnonzero(single)
         with np.errstate(divide="ignore"):
             self.log_matrix = np.log(matrix)
         # the O(n) form needs one off-diagonal value; n = 1 has none
@@ -135,11 +124,6 @@ class TableKernel:
                 with np.errstate(divide="ignore"):
                     self._log_stay = np.log(stay)
                     self._log_off = math.log(off) if off > 0.0 else -math.inf
-        self._index = {c: i for i, c in enumerate(classes)}
-        by_expert: dict[int, list[ClassId]] = {}
-        for c in classes:
-            by_expert.setdefault(c.expert, []).append(c)
-        self._by_expert = by_expert
 
     def mix(self, scaled: np.ndarray) -> np.ndarray:
         """New log weights ``log sum_i T[i, j] exp(scaled[i])`` for every
@@ -157,30 +141,19 @@ class TableKernel:
         path. A one-round horizon sees only the virtual root, of size 1."""
         if horizon < 1:
             raise ClassNetError("horizon must be at least 1")
-        return 1 if horizon == 1 else len(self.classes)
+        return 1 if horizon == 1 else len(self.experts)
 
-    def unique_class_for_expert(self, expert: int) -> ClassId:
-        matches = self._by_expert.get(expert, [])
-        if len(matches) != 1:
-            raise ClassNetError(
-                f"expert {expert} maps to {len(matches)} classes; "
-                "an explicit class sequence is required"
-            )
-        return matches[0]
-
-    def path_log_factors(self, classes: tuple[ClassId, ...]) -> np.ndarray:
+    def path_log_factors(self, classes: np.ndarray) -> np.ndarray:
         """Per-round log prior factors of a class path; the round-1 factor is
         the initial prior."""
-        pos = np.array([self._index[c] for c in classes], dtype=int)
         logs = np.empty(len(classes))
         with np.errstate(divide="ignore"):
-            logs[0] = np.log(self.prior[pos[0]])
-            if len(classes) > 1:
-                logs[1:] = self.log_matrix[pos[:-1], pos[1:]]
+            logs[0] = np.log(self.prior[classes[0]])
+        logs[1:] = self.log_matrix[classes[:-1], classes[1:]]
         if not np.all(np.isfinite(logs)):
             t = int(np.flatnonzero(~np.isfinite(logs))[0])
             raise ZeroTransitionError(
-                f"zero prior weight into {classes[t]} at round {t + 1}"
+                f"zero prior weight into class {classes[t]} at round {t + 1}"
             )
         return logs
 
@@ -188,9 +161,8 @@ class TableKernel:
 def fixed_kernel(n_experts: int) -> TableKernel:
     """Fixed competition: one class per expert, uniform prior, identity
     transitions."""
-    classes = tuple(ClassId(m) for m in range(n_experts))
     prior = np.full(n_experts, 1.0 / n_experts)
-    return TableKernel(classes, prior, np.eye(n_experts), n_experts)
+    return TableKernel(np.arange(n_experts), prior, np.eye(n_experts), n_experts)
 
 
 def fixed_share_kernel(n_experts: int, alpha: float) -> TableKernel:
@@ -207,9 +179,8 @@ def fixed_share_kernel(n_experts: int, alpha: float) -> TableKernel:
         matrix[m, m] = 1.0 - alpha
         # one compensation pass keeps the row sum at 1.0 to the last ulp
         matrix[m, m] += 1.0 - matrix[m].sum()
-    classes = tuple(ClassId(m) for m in range(n_experts))
     prior = np.full(n_experts, 1.0 / n_experts)
-    return TableKernel(classes, prior, matrix, n_experts)
+    return TableKernel(np.arange(n_experts), prior, matrix, n_experts)
 
 
 def init_weights(kernel: TableKernel) -> np.ndarray:
@@ -263,18 +234,19 @@ def expert_marginals(log_w: np.ndarray, kernel: TableKernel) -> np.ndarray:
     return per_expert / per_expert.sum()
 
 
-@dataclass(frozen=True, eq=False)
 class CompetitorSequence:
-    """A deterministic class path; its expert components form the selection
-    sequence the learner is scored against."""
+    """A deterministic path of ``kernel`` class indices; ``experts`` holds
+    their experts, the selection sequence the learner is scored against.
+    Both are read-only int arrays."""
 
-    classes: tuple[ClassId, ...]
-    experts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "experts", np.array([c.expert for c in self.classes], dtype=int)
-        )
+    def __init__(self, classes: np.ndarray | list[int], kernel: TableKernel):
+        classes = np.array(classes, dtype=int)
+        if np.any(classes < 0) or np.any(classes >= len(kernel.experts)):
+            raise ClassNetError("class index out of range")
+        experts = kernel.experts[classes]
+        classes.flags.writeable = experts.flags.writeable = False
+        self.classes = classes
+        self.experts = experts
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -287,7 +259,18 @@ class CompetitorSequence:
     def from_experts(
         cls, experts: np.ndarray | list[int], kernel: TableKernel
     ) -> "CompetitorSequence":
-        return cls(tuple(kernel.unique_class_for_expert(int(e)) for e in experts))
+        """The path through each expert's only class."""
+        experts = np.asarray(experts, dtype=int)
+        if np.any(experts < 0) or np.any(experts >= kernel.n_experts):
+            raise ClassNetError("expert index out of range")
+        classes = kernel._class_of[experts]
+        if np.any(classes < 0):
+            expert = int(experts[np.argmax(classes < 0)])
+            raise ClassNetError(
+                f"expert {expert} maps to {np.count_nonzero(kernel.experts == expert)} "
+                "classes; an explicit class sequence is required"
+            )
+        return cls(classes, kernel)
 
 
 def complexity(kernel: TableKernel, competitor: CompetitorSequence) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import feedback as fb
-from .classnet import ClassId, TableKernel, fixed_kernel, fixed_share_kernel
+from .classnet import TableKernel, fixed_kernel, fixed_share_kernel
 from .environment import (
     BernoulliArm,
     CompetitorSpec,
@@ -100,7 +100,8 @@ def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TableKernel:
         return fixed_share_kernel(n_experts, alpha)
     if kind == "custom":
         raw_classes = _as_list(_require(spec, "classes", path), f"{path}.classes")
-        classes = []
+        # a tag only labels a class: it tells apart classes of one expert
+        labels = []
         for i, c in enumerate(raw_classes):
             c = _as_object(c, f"{path}.classes[{i}]")
             expert = _expert_index(
@@ -111,7 +112,11 @@ def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TableKernel:
             tag = c.get("tag")
             if tag is not None and not isinstance(tag, str):
                 raise ConfigError(f"{path}.classes[{i}].tag", "must be a string")
-            classes.append(ClassId(expert, tag))
+            if (expert, tag) in labels:
+                raise ConfigError(
+                    f"{path}.classes[{i}]", f"repeats expert {expert + 1} with tag {tag!r}"
+                )
+            labels.append((expert, tag))
         prior = [
             _as_float(v, f"{path}.prior[{i}]")
             for i, v in enumerate(_as_list(_require(spec, "prior", path), f"{path}.prior"))
@@ -123,7 +128,8 @@ def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TableKernel:
             for i, row in enumerate(rows)
         ]
         try:
-            return TableKernel(tuple(classes), np.array(prior), np.array(matrix), n_experts)
+            experts = np.array([expert for expert, _ in labels], dtype=int)
+            return TableKernel(experts, np.array(prior), np.array(matrix), n_experts)
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.type", f"unknown kernel type {kind!r}")
@@ -329,6 +335,23 @@ def _check_horizon(
         )
 
 
+def _check_competitor_classes(competitor: CompetitorSpec, kernel: TableKernel) -> None:
+    """A competitor given as experts maps each one to its only class:
+    ``fixed`` and ``explicit`` need that of the experts they name, the
+    hindsight kinds of every expert."""
+    named = {"fixed": [competitor.expert], "explicit": competitor.sequence}.get(
+        competitor.kind, range(kernel.n_experts)
+    )
+    counts = np.bincount(kernel.experts, minlength=kernel.n_experts)
+    for expert in sorted(set(named)):
+        if counts[expert] != 1:
+            raise ConfigError(
+                "competitor",
+                f"expert {expert + 1} has {counts[expert]} kernel classes; "
+                f"a {competitor.kind!r} competitor needs exactly one",
+            )
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
     """Parsed experiment: learner, environment, competitor, seeds, output."""
@@ -357,10 +380,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     w_budget = _as_float(raw["w_budget"], "w_budget") if raw.get("w_budget") is not None else None
     gamma = _as_float(raw["gamma"], "gamma") if raw.get("gamma") is not None else None
     epsilon = raw.get("epsilon")
-    if epsilon is not None and not isinstance(epsilon, (int, float)):
-        epsilon = [
-            _as_float(v, f"epsilon[{i}]") for i, v in enumerate(_as_list(epsilon, "epsilon"))
-        ]
+    if isinstance(epsilon, list):
+        epsilon = [_as_float(v, f"epsilon[{i}]") for i, v in enumerate(epsilon)]
+    elif epsilon is not None:
+        epsilon = _as_float(epsilon, "epsilon")
     fixed_eta = _as_float(raw["fixed_eta"], "fixed_eta") if raw.get("fixed_eta") is not None else None
     try:
         learner = LearnerConfig(
@@ -376,6 +399,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     loss_process = parse_loss_process(_require(raw, "loss", "config"), n_experts)
     feedback_process = parse_feedback_process(_require(raw, "feedback", "config"), n_experts)
     competitor = parse_competitor(_require(raw, "competitor", "config"), n_experts)
+    _check_competitor_classes(competitor, kernel)
     inputs = (learner, loss_process, feedback_process, competitor)
     _check_horizon(horizon, *inputs)
     seed = _as_int(raw.get("seed", 0), "seed", 0)

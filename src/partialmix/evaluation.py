@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classnet import (
-    CompetitorSequence,
-    TableKernel,
-    ZeroTransitionError,
-    complexity,
-)
+from .classnet import CompetitorSequence, ZeroTransitionError, complexity
 from .environment import (
     CompetitorSpec,
     FeedbackProcess,
@@ -87,8 +82,6 @@ def _verdict(name: str, lhs: np.ndarray, rhs: np.ndarray) -> LemmaCheck:
 def check_lemmas(
     transcript: GameTranscript,
     competitor: CompetitorSequence,
-    kernel: TableKernel | None = None,
-    gamma: float | None = None,
 ) -> LemmaDiagnostics:
     """Evaluate the four per-run inequalities at every prefix horizon.
 
@@ -105,8 +98,8 @@ def check_lemmas(
         raise LengthMismatchError(
             f"competitor covers {len(competitor)} rounds, transcript {horizon}"
         )
-    kernel = kernel if kernel is not None else transcript.config.kernel
-    gamma = gamma if gamma is not None else transcript.config.gamma_value
+    kernel = transcript.config.kernel
+    gamma = transcript.config.gamma_value
     m = transcript.config.n_experts
     eta, v, d = transcript.eta, transcript.v, transcript.d
     v_run, d_run = transcript.V, transcript.D
@@ -160,10 +153,6 @@ class BoundValue:
 
     theorem: float
     cleaner: float
-
-    @property
-    def value(self) -> float:
-        return self.theorem
 
 
 def theoretical_bound(
@@ -231,20 +220,15 @@ class RegretReport:
 def realized_regret(
     transcript: GameTranscript,
     competitor: CompetitorSequence,
-    losses: np.ndarray | None = None,
     with_diagnostics: bool = True,
 ) -> RegretReport:
     """Realized regret, its normalized form, the competitor's complexity,
     and the bound evaluated with the realized complexity but the budget-
     driven rate and mixture schedule."""
-    losses = transcript.losses if losses is None else np.asarray(losses, dtype=float)
     horizon = transcript.horizon
-    if len(competitor) != horizon or losses.shape[0] != horizon:
-        raise LengthMismatchError(
-            f"transcript has {horizon} rounds, competitor {len(competitor)}, "
-            f"losses {losses.shape[0]}"
-        )
-    competitor_loss = float(losses[np.arange(horizon), competitor.experts].sum())
+    if len(competitor) != horizon:
+        raise LengthMismatchError(f"transcript has {horizon} rounds, competitor {len(competitor)}")
+    competitor_loss = float(transcript.losses[np.arange(horizon), competitor.experts].sum())
     regret = transcript.cumulative_loss - competitor_loss
     low, high = transcript.loss_range
     config = transcript.config

@@ -110,7 +110,7 @@ class LearnerState:
     ``psi`` is +inf until the first observation; ``eta_prev`` is None until
     the second-order statistics become positive. ``psi`` is non-increasing,
     ``V`` and ``D`` non-decreasing, so ``eta`` is non-increasing once set.
-    ``weights`` holds the log class weights over ``kernel.classes``.
+    ``weights`` holds the log weights of the kernel's classes.
     """
 
     t: int

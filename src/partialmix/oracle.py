@@ -63,7 +63,7 @@ def enumerate_weights(
     horizon = phi_history.shape[0]
     if eta <= 0.0:
         raise ValueError("the fixed rate must be positive")
-    n_classes = len(kernel.classes)
+    n_classes = len(kernel.experts)
     n_paths = n_classes ** (horizon + 1)
     if n_paths > limit.max_paths:
         raise PathExplosionError(f"{n_paths} class paths exceed the limit {limit.max_paths}")

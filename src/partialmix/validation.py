@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classnet import (
-    ClassId,
     CompetitorSequence,
     TableKernel,
     advance,
@@ -49,18 +48,12 @@ class CheckResult:
 
 
 def random_table_kernel(rng: np.random.Generator, n_experts: int) -> TableKernel:
-    """Random kernel over one or two classes per expert (tagged when two)."""
-    per_expert = rng.integers(1, 3, size=n_experts)
-    classes: list[ClassId] = []
-    for m in range(n_experts):
-        if per_expert[m] == 1:
-            classes.append(ClassId(m))
-        else:
-            classes.extend(ClassId(m, tag) for tag in ("a", "b"))
-    n = len(classes)
+    """Random kernel over one or two classes per expert."""
+    experts = np.repeat(np.arange(n_experts), rng.integers(1, 3, size=n_experts))
+    n = len(experts)
     prior = rng.dirichlet(np.ones(n))
     matrix = np.vstack([rng.dirichlet(np.ones(n)) for _ in range(n)])
-    return TableKernel(tuple(classes), prior, matrix, n_experts)
+    return TableKernel(experts, prior, matrix, n_experts)
 
 
 def oracle_equivalence_suite(

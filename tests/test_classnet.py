@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from partialmix.classnet import (
-    ClassId,
     ClassNetError,
     CompetitorSequence,
     EmptyClassSetError,
@@ -26,13 +25,13 @@ from partialmix.validation import random_table_kernel
 
 def two_class_kernel(prior=(0.9, 0.1), alpha=0.25):
     matrix = np.array([[1 - alpha, alpha], [alpha, 1 - alpha]])
-    return TableKernel((ClassId(0), ClassId(1)), np.array(prior), matrix, 2)
+    return TableKernel(np.arange(2), np.array(prior), matrix, 2)
 
 
 class TestKernels:
     def test_fixed_kernel_shape(self):
         kernel = fixed_kernel(4)
-        assert kernel.classes == tuple(ClassId(m) for m in range(4))
+        np.testing.assert_array_equal(kernel.experts, np.arange(4))
         np.testing.assert_allclose(kernel.prior, 0.25)
         np.testing.assert_array_equal(kernel.matrix[2], [0.0, 0.0, 1.0, 0.0])
         assert kernel.class_count(1) == 1
@@ -52,13 +51,13 @@ class TestKernels:
 
     def test_fixed_share_single_expert(self):
         kernel = fixed_share_kernel(1, 0.0)
-        assert kernel.classes == (ClassId(0),)
+        np.testing.assert_array_equal(kernel.experts, [0])
         np.testing.assert_array_equal(kernel.matrix, [[1.0]])
         with pytest.raises(ClassNetError):
             fixed_share_kernel(1, 0.1)
 
     def test_invalid_tables_rejected(self):
-        classes = (ClassId(0), ClassId(1))
+        classes = np.arange(2)
         with pytest.raises(ClassNetError, match="prior sums"):
             TableKernel(classes, np.array([0.6, 0.6]), np.eye(2), 2)
         with pytest.raises(ClassNetError, match="row 1 sums"):
@@ -66,7 +65,11 @@ class TestKernels:
         with pytest.raises(ClassNetError, match="nonnegative"):
             TableKernel(classes, np.array([0.5, 0.5]), np.array([[1.5, -0.5], [0.0, 1.0]]), 2)
         with pytest.raises(EmptyClassSetError):
-            TableKernel((), np.array([]), np.zeros((0, 0)), 1)
+            TableKernel(np.array([], dtype=int), np.array([]), np.zeros((0, 0)), 1)
+        with pytest.raises(ClassNetError, match="out of range"):
+            TableKernel(np.array([0, 2]), np.array([0.5, 0.5]), np.eye(2), 2)
+        with pytest.raises(ClassNetError, match="integer array"):
+            TableKernel(np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.eye(2), 2)
 
     @pytest.mark.parametrize(
         "prior, matrix",
@@ -79,7 +82,7 @@ class TestKernels:
     )
     def test_non_finite_weights_rejected(self, prior, matrix):
         with pytest.raises(ClassNetError, match="must be finite"):
-            TableKernel((ClassId(0), ClassId(1)), np.array(prior), np.array(matrix), 2)
+            TableKernel(np.arange(2), np.array(prior), np.array(matrix), 2)
 
 
 class TestInitWeights:
@@ -94,8 +97,7 @@ class TestInitWeights:
 
     def test_zero_prior_class_is_minus_inf(self):
         kernel = TableKernel(
-            (ClassId(0), ClassId(1)), np.array([1.0, 0.0]),
-            np.array([[0.5, 0.5], [0.5, 0.5]]), 2,
+            np.arange(2), np.array([1.0, 0.0]), np.array([[0.5, 0.5], [0.5, 0.5]]), 2
         )
         weights = init_weights(kernel)
         assert weights[0] == 0.0 and weights[1] == -math.inf
@@ -163,7 +165,7 @@ class TestAdvance:
     def test_pruned_class_stays_out(self):
         # a zero column forever starves the second class
         kernel = TableKernel(
-            (ClassId(0), ClassId(1)),
+            np.arange(2),
             np.array([0.5, 0.5]),
             np.array([[1.0, 0.0], [1.0, 0.0]]),
             2,
@@ -245,14 +247,14 @@ class TestMix:
         [
             fixed_share_kernel(2, 0.9),  # stay = 0.1 - 0.9 < 0
             fixed_kernel(1),  # no off-diagonal entry
-            TableKernel((ClassId(0), ClassId(1)), np.array([0.5, 0.5]),
+            TableKernel(np.arange(2), np.array([0.5, 0.5]),
                         np.array([[0.7, 0.3], [0.2, 0.8]]), 2),  # two off values
         ],
         ids=["negative_stay", "single_class", "unequal_off"],
     )
     def test_dense_fallback_is_exact(self, kernel):
         assert kernel._log_stay is None
-        n = len(kernel.classes)
+        n = len(kernel.experts)
         rng = np.random.default_rng(n)
         log_w = init_weights(kernel)
         for _ in range(20):
@@ -312,7 +314,7 @@ class TestExpertMarginals:
 
     def test_classes_sum_per_expert(self):
         kernel = TableKernel(
-            (ClassId(0, "a"), ClassId(0, "b"), ClassId(1, "c")),
+            np.array([0, 0, 1]),
             np.array([0.2, 0.3, 0.5]),
             np.full((3, 3), 1.0 / 3),
             2,
@@ -322,7 +324,7 @@ class TestExpertMarginals:
         )
 
     def test_expert_without_classes_gets_zero(self):
-        kernel = TableKernel((ClassId(0), ClassId(2)), np.array([0.4, 0.6]), np.eye(2), 3)
+        kernel = TableKernel(np.array([0, 2]), np.array([0.4, 0.6]), np.eye(2), 3)
         marginals = expert_marginals(init_weights(kernel), kernel)
         np.testing.assert_allclose(marginals, [0.4, 0.0, 0.6], rtol=1e-12)
         assert abs(marginals.sum() - 1.0) <= 1e-12
@@ -341,15 +343,31 @@ class TestComplexity:
         assert complexity(kernel, seq) == pytest.approx(3.060270794691562, abs=1e-12)
 
     def test_single_class_kernel(self):
-        kernel = TableKernel((ClassId(0),), np.array([1.0]), np.array([[1.0]]), 1)
+        kernel = TableKernel(np.array([0]), np.array([1.0]), np.array([[1.0]]), 1)
         seq = CompetitorSequence.from_experts([0, 0, 0, 0], kernel)
         assert complexity(kernel, seq) == pytest.approx(0.0, abs=1e-15)
 
     def test_out_of_support_raises(self):
         kernel = fixed_kernel(3)
         seq = CompetitorSequence.from_experts([0, 1], kernel)
-        with pytest.raises(ZeroTransitionError):
+        with pytest.raises(ZeroTransitionError, match="into class 1 at round 2"):
             complexity(kernel, seq)
+
+    def test_zero_prior_first_class_raises(self):
+        kernel = TableKernel(np.arange(2), np.array([1.0, 0.0]), np.full((2, 2), 0.5), 2)
+        with pytest.raises(ZeroTransitionError, match="into class 1 at round 1"):
+            complexity(kernel, CompetitorSequence([1, 0], kernel))
+
+    def test_class_path_is_read_only_int_arrays(self):
+        kernel = TableKernel(np.array([1, 0, 1]), np.full(3, 1 / 3), np.full((3, 3), 1 / 3), 2)
+        seq = CompetitorSequence([2, 0, 1], kernel)
+        np.testing.assert_array_equal(seq.experts, [1, 1, 0])
+        assert len(seq) == 3 and seq.n_switches == 1
+        for column in (seq.classes, seq.experts):
+            assert column.dtype.kind == "i" and not column.flags.writeable
+        for bad in ([0, 3], [-1, 0]):
+            with pytest.raises(ClassNetError, match="class index out of range"):
+                CompetitorSequence(bad, kernel)
 
     def test_fixed_share_switch_count_closed_form(self):
         rng = np.random.default_rng(9)
@@ -370,12 +388,15 @@ class TestComplexity:
             assert complexity(kernel, seq) == pytest.approx(expected, abs=1e-9)
 
     def test_ambiguous_expert_mapping_rejected(self):
-        kernel = TableKernel(
-            (ClassId(0, "a"), ClassId(0, "b")), np.array([0.5, 0.5]),
-            np.full((2, 2), 0.5), 1,
-        )
-        with pytest.raises(ClassNetError, match="2 classes"):
-            CompetitorSequence.from_experts([0, 0], kernel)
+        kernel = TableKernel(np.array([0, 0, 2]), np.full(3, 1 / 3), np.full((3, 3), 1 / 3), 3)
+        with pytest.raises(ClassNetError, match="expert 0 maps to 2 classes"):
+            CompetitorSequence.from_experts([2, 0], kernel)
+        with pytest.raises(ClassNetError, match="expert 1 maps to 0 classes"):
+            CompetitorSequence.from_experts([2, 1], kernel)
+        np.testing.assert_array_equal(CompetitorSequence.from_experts([2], kernel).classes, [2])
+        for bad in ([3], [-1]):
+            with pytest.raises(ClassNetError, match="expert index out of range"):
+                CompetitorSequence.from_experts(bad, kernel)
 
 
 class TestPathSumEquivalence:

@@ -98,6 +98,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert "row 0" in err
 
+    @pytest.mark.parametrize("command", ["run", "batch"])
+    @pytest.mark.parametrize(
+        "competitor", [{"kind": "fixed", "expert": 1}, {"kind": "best_fixed"}]
+    )
+    def test_competitor_outside_the_class_map_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, competitor
+    ):
+        # expert 1 has two tagged classes, so no expert path names its class
+        def no_round(*args, **kwargs):
+            raise AssertionError("a round was played")
+
+        monkeypatch.setattr("partialmix.environment.step", no_round)
+        kernel = {
+            "type": "custom",
+            "classes": [{"expert": 1, "tag": "a"}, {"expert": 1, "tag": "b"}, {"expert": 2}],
+            "prior": [0.25, 0.25, 0.5],
+            "transitions": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+        }
+        path = write_config(tmp_path, experts=2, kernel=kernel, competitor=competitor)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert (
+            "config error: competitor: expert 1 has 2 kernel classes"
+            in capsys.readouterr().err
+        )
+
 
 def reference_rounds_csv(transcript, competitor, run_index):
     """The writer's rows built one ``_fmt`` call per value."""

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partialmix.classnet import ClassId
 from partialmix.config import ConfigError, load_config, parse_config
 from partialmix.environment import IIDLosses, PiecewiseLosses, ScriptedLosses
 
@@ -49,7 +48,7 @@ class TestParseConfig:
             "transitions": [[0.6, 0.4], [0.5, 0.5]],
         }
         cfg = parse_config(base_config(kernel=kernel_spec))
-        assert cfg.learner.kernel.classes == (ClassId(0), ClassId(1, "x"))
+        np.testing.assert_array_equal(cfg.learner.kernel.experts, [0, 1])
 
     def test_scripted_losses_and_explicit_competitor(self):
         values = [[0.1, 0.9]] * 5
@@ -157,6 +156,7 @@ class TestDiagnostics:
                 {"feedback": {"kind": "constant", "matrix": [[1.0, math.nan], [0.0, 1.0]]}},
                 r"feedback\.matrix\[0\]\[1\]: expected a finite number",
             ),
+            ({"epsilon": math.nan}, "epsilon: expected a finite number, got nan"),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, overrides, message):
@@ -192,11 +192,83 @@ class TestDiagnostics:
         assert info.value.path == "sweep.horizons[1]"
         assert str(info.value) == f"sweep.horizons[1]: {message}"
 
+    def test_boolean_epsilon_rejected(self):
+        with pytest.raises(ConfigError, match="epsilon: expected a number, got True"):
+            parse_config(base_config(epsilon=True))
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"experts": 2,\n  "horizon": }\n')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+
+def tagged_kernel(classes):
+    n = len(classes)
+    return {"type": "custom", "classes": classes, "prior": [1 / n] * n,
+            "transitions": [[1 / n] * n] * n}
+
+
+class TestKernelClasses:
+    def test_tags_tell_apart_classes_of_one_expert(self):
+        classes = [{"expert": 1, "tag": "a"}, {"expert": 1, "tag": "b"},
+                   {"expert": 2, "tag": "a"}, {"expert": 2}, {"expert": 3}]
+        cfg = parse_config(base_config(
+            experts=3,
+            kernel=tagged_kernel(classes),
+            loss={"kind": "scripted", "range": [0, 1], "values": [[0.1] * 3] * 5},
+            competitor={"kind": "explicit", "sequence": [3] * 5},
+        ))
+        np.testing.assert_array_equal(cfg.learner.kernel.experts, [0, 0, 1, 1, 2])
+
+    @pytest.mark.parametrize(
+        "classes, path",
+        [
+            ([{"expert": 1}, {"expert": 2}, {"expert": 1}], "kernel.classes[2]"),
+            ([{"expert": 1, "tag": "a"}, {"expert": 1, "tag": "a"}], "kernel.classes[1]"),
+        ],
+    )
+    def test_repeated_expert_and_tag_rejected(self, classes, path):
+        with pytest.raises(ConfigError, match="repeats expert 1 with tag") as info:
+            parse_config(base_config(kernel=tagged_kernel(classes)))
+        assert info.value.path == path
+
+    def test_non_string_tag_rejected(self):
+        with pytest.raises(ConfigError, match=r"kernel\.classes\[0\]\.tag: must be a string"):
+            parse_config(base_config(kernel=tagged_kernel([{"expert": 1, "tag": 3}])))
+
+    @pytest.mark.parametrize(
+        "classes, competitor, message",
+        [
+            # expert 1 has two classes
+            ([{"expert": 1, "tag": "a"}, {"expert": 1, "tag": "b"}, {"expert": 2}],
+             {"kind": "fixed", "expert": 1}, "expert 1 has 2 kernel classes"),
+            ([{"expert": 1, "tag": "a"}, {"expert": 1, "tag": "b"}, {"expert": 2}],
+             {"kind": "explicit", "sequence": [2, 2, 1, 2, 2]}, "expert 1 has 2 kernel classes"),
+            ([{"expert": 1, "tag": "a"}, {"expert": 1, "tag": "b"}, {"expert": 2}],
+             {"kind": "best_fixed"}, "expert 1 has 2 kernel classes"),
+            # expert 2 has none
+            ([{"expert": 1}], {"kind": "best_k_switch", "switches": 1},
+             "expert 2 has 0 kernel classes"),
+            ([{"expert": 1}], {"kind": "explicit", "sequence": [1, 1, 2, 1, 1]},
+             "expert 2 has 0 kernel classes"),
+        ],
+    )
+    def test_competitor_needs_one_class_per_named_expert(self, classes, competitor, message):
+        with pytest.raises(ConfigError, match=message) as info:
+            parse_config(base_config(kernel=tagged_kernel(classes), competitor=competitor))
+        assert info.value.path == "competitor"
+
+    @pytest.mark.parametrize(
+        "classes, competitor",
+        [
+            ([{"expert": 1, "tag": "a"}, {"expert": 1, "tag": "b"}, {"expert": 2}],
+             {"kind": "fixed", "expert": 2}),
+            ([{"expert": 1}], {"kind": "explicit", "sequence": [1] * 5}),
+        ],
+    )
+    def test_competitor_on_mapped_experts_accepted(self, classes, competitor):
+        parse_config(base_config(kernel=tagged_kernel(classes), competitor=competitor))
 
 
 class TestValidateBlock:

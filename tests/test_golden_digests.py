@@ -11,6 +11,11 @@ is enabled in ``__cpu_features__``. A key with no stored digest skips.
 The commands are the ones ``bench/workloads.py`` builds for seed 1, run
 in-process through ``partialmix.cli.main`` as ``bench/worker.py`` runs them.
 ``bench/`` is only read; the configs the workloads write go to ``tmp_path``.
+
+Across targets the switching-batch games stay close for a while: over
+their first 2,000 rounds q differs by at most 1.1e-16. On an AVX-512 host
+|dq| first passes 1e-14 at rounds 3,525 and 4,630 of seeds 2 and 3, and
+the first selection differs at rounds 7,169 and 8,151.
 """
 
 import contextlib
@@ -27,6 +32,8 @@ import numpy as np
 import pytest
 
 from partialmix import cli
+from partialmix.config import load_config
+from partialmix.environment import run_game
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -36,6 +43,10 @@ SEED = 1
 # numpy reads this when it is imported: the process then dispatches to
 # AVX2 (X86_V3) kernels on an AVX-512 host
 DISABLE_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+# cross-target bounds on the switching-batch games: sup |dq| over the first
+# Q_ROUNDS rounds, and equal selections through SELECTION_ROUNDS
+Q_ROUNDS, Q_BOUND = 2000, 1e-14
+SELECTION_ROUNDS = 4000
 
 
 def simd_target() -> str:
@@ -74,6 +85,39 @@ def load_workloads():
     return module
 
 
+def subprocess_without_avx512(script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter whose numpy skips AVX-512, with
+    this module importable; return its standard output."""
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=DISABLE_AVX512,
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TESTS)]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def play_switching_prefix(path: str) -> None:
+    """Save q and the selections of the switching-batch seed-1 games over
+    their first SELECTION_ROUNDS rounds to ``path`` (an ``.npz`` file)."""
+    workloads = load_workloads()
+    cfg = load_config(ROOT / workloads.SHIPPED_SWITCHING)
+    full = cfg.loss_process.generate
+    # the full-horizon game's losses, cut to the rounds played
+    cfg.loss_process.generate = lambda horizon, rng: full(cfg.horizon, rng)[:horizon]
+    games = {}
+    for i in range(workloads.SWITCHING_GAMES):
+        seed = SEED * workloads.SWITCHING_GAMES + i
+        game = run_game(cfg.learner, cfg.loss_process, cfg.feedback_process, SELECTION_ROUNDS, seed)
+        games[f"q_{seed}"], games[f"selected_{seed}"] = game.q, game.selected
+    np.savez(path, **games)
+
+
 def recompute(workload: str, work: Path) -> dict[str, str]:
     """Run one workload's seed-1 commands and return its artifact digests."""
     workloads = load_workloads()
@@ -108,16 +152,23 @@ def test_switching_batch_without_avx512(tmp_path):
         "import json, sys; from pathlib import Path; import test_golden_digests as g; "
         "print(json.dumps([g.platform_key(), g.recompute('switching-batch', Path(sys.argv[1]))]))"
     )
-    env = dict(
-        os.environ,
-        NPY_DISABLE_CPU_FEATURES=DISABLE_AVX512,
-        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TESTS)]),
-        PYTHONDONTWRITEBYTECODE="1",
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    key, digests = json.loads(proc.stdout.strip().splitlines()[-1])
+    stdout = subprocess_without_avx512(script, str(tmp_path))
+    key, digests = json.loads(stdout.strip().splitlines()[-1])
     assert digests == expected_digests(key, "switching-batch")
+
+
+def test_switching_games_agree_across_targets(tmp_path):
+    # without AVX-512 on the host both sides run the same kernels: dq is 0
+    here, there = tmp_path / "here.npz", tmp_path / "there.npz"
+    play_switching_prefix(str(here))
+    subprocess_without_avx512(
+        "import sys, test_golden_digests as g; g.play_switching_prefix(sys.argv[1])", str(there)
+    )
+    here, there = np.load(here), np.load(there)
+    assert sorted(here.files) == sorted(there.files)
+    for name in here.files:
+        if name.startswith("q_"):
+            dq = np.abs(here[name] - there[name])[:Q_ROUNDS]
+            assert dq.max() <= Q_BOUND, name
+        else:
+            np.testing.assert_array_equal(here[name], there[name], err_msg=name)

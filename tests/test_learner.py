@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from partialmix.classnet import ClassId, TableKernel, fixed_kernel, fixed_share_kernel
+from partialmix.classnet import TableKernel, fixed_kernel, fixed_share_kernel
 from partialmix.feedback import FeedbackMatrix, full_feedback, identity_feedback
 from partialmix.learner import (
     LearnerConfig,
@@ -54,25 +54,19 @@ class TestEpsilonSchedule:
 
 class TestPolicy:
     def test_full_mixing_is_uniform(self):
-        kernel = TableKernel(
-            (ClassId(0), ClassId(1)), np.array([0.9, 0.1]), np.eye(2), 2
-        )
+        kernel = TableKernel(np.arange(2), np.array([0.9, 0.1]), np.eye(2), 2)
         config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=1.0)
         q = prepare_round(init_state(config), config, identity_feedback(2)).q
         np.testing.assert_allclose(q, [0.5, 0.5])
 
     def test_no_mixing_returns_marginals(self):
-        kernel = TableKernel(
-            (ClassId(0), ClassId(1)), np.array([0.9, 0.1]), np.eye(2), 2
-        )
+        kernel = TableKernel(np.arange(2), np.array([0.9, 0.1]), np.eye(2), 2)
         config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.0)
         q = prepare_round(init_state(config), config, identity_feedback(2)).q
         np.testing.assert_allclose(q, [0.9, 0.1], rtol=1e-12)
 
     def test_hand_mixture(self):
-        kernel = TableKernel(
-            (ClassId(0), ClassId(1)), np.array([0.9, 0.1]), np.eye(2), 2
-        )
+        kernel = TableKernel(np.arange(2), np.array([0.9, 0.1]), np.eye(2), 2)
         config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.5)
         q = prepare_round(init_state(config), config, identity_feedback(2)).q
         np.testing.assert_allclose(q, [0.7, 0.3], rtol=1e-12)
