@@ -108,6 +108,9 @@ class TableKernel:
         self.prior = prior
         self.matrix = matrix
         self.experts = experts.astype(int)
+        # class i is expert i: advance and expert_marginals skip the gather
+        # and the grouping, exactly, since 0.0 + w == w
+        self._identity = n == self.n_experts and bool(np.all(self.experts == np.arange(n)))
         # the class of each expert that has exactly one, else -1
         counts = np.bincount(self.experts, minlength=self.n_experts)
         self._class_of = np.full(self.n_experts, -1)
@@ -209,13 +212,16 @@ def advance(
     every log weight.
     """
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi < 0.0):
+    if phi.shape != (kernel.n_experts,):
+        raise ClassNetError(f"phi has shape {phi.shape}, expected ({kernel.n_experts},)")
+    # one reduction; a NaN fails the comparison and raises too
+    if not phi.min() >= 0.0:
         raise NegativePhiError(f"loss estimates must be nonnegative, got min {phi.min()}")
     if eta_prev <= 0.0 or eta_new <= 0.0:
         raise ClassNetError("learning rates must be positive")
     if eta_new > eta_prev * (1.0 + RATE_INCREASE_SLACK):
         raise RateIncreaseError(f"rate increased from {eta_prev} to {eta_new}")
-    log_z = log_w - eta_prev * phi[kernel.experts]
+    log_z = log_w - eta_prev * (phi if kernel._identity else phi[kernel.experts])
     scaled = (eta_new / eta_prev) * log_z
     new_log = kernel.mix(scaled)
     top = new_log.max()
@@ -229,7 +235,11 @@ def expert_marginals(log_w: np.ndarray, kernel: TableKernel) -> np.ndarray:
     and normalizing. Experts with no class mass get probability 0."""
     # exponentiate against the max before grouping; log weights are kept
     # max-normalized by advance, so this is as stable as a grouped logsumexp
+    if log_w.shape != kernel.experts.shape:
+        raise ClassNetError(f"log_w has shape {log_w.shape}, expected {kernel.experts.shape}")
     mass = np.exp(log_w - log_w.max())
+    if kernel._identity:
+        return mass / mass.sum()
     per_expert = np.bincount(kernel.experts, weights=mass, minlength=kernel.n_experts)
     return per_expert / per_expert.sum()
 

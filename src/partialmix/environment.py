@@ -336,18 +336,21 @@ def run_game(
 
     tr = GameTranscript(config, seed, losses, loss_process.loss_range)
     state = init_state(config)
-    for i, row in enumerate(losses):
+    queried: list[int] = []
+
+    def reveal(m: int) -> float:
+        queried.append(m)
+        return row[m]
+
+    for i in range(horizon):
+        # one round's losses as Python floats; reveal reads the current row
+        row = losses[i].tolist()
+        queried.clear()
         matrix = feedback_process.matrix_at(i + 1)
-        queried: list[int] = []
-
-        def reveal(m: int) -> float:
-            queried.append(m)
-            return float(row[m])
-
         ctx, selected, indicators, phi, rate, state = step(
             state, config, matrix, reveal, play_rng
         )
-        if any(indicators[m] == 0 for m in queried):
+        if not all(indicators[m] for m in queried):
             raise RuntimeError(f"learner read an unrevealed loss at round {i + 1}")
         tr.epsilon[i] = ctx.epsilon
         tr.eta[i] = math.nan if rate.eta is None else rate.eta
@@ -367,12 +370,24 @@ def run_game(
     return tr
 
 
-# From this expert count on, the k-switch DP takes one numpy step per round
-# over all budgets; below it, it runs on Python floats. Measured per call at
-# T = 3000 (min of 5 to 7, float/array ms): 7/36 at M = 4, 28/66 at M = 32,
-# 54/50 at M = 48 and 48/49 at M = 64 with 2 switches; with 5 switches the
-# forms meet near M = 24, with 1 switch past M = 80.
-_ARRAY_DP_MIN_EXPERTS = 48
+# The k-switch DP runs on Python floats or as one numpy step per round over
+# all budgets, whichever is cheaper at (M, k). Per call at T = 3000 (min of
+# 5 calls, float/array ms; 2-vCPU VM, Python 3.11.7, numpy 2.4.6):
+#   k \ M      4          16          32          64         128
+#   0      1.8/1.9    2.8/1.9     4.3/1.9     7.1/1.9    14.0/2.0
+#   1      3.2/23.7   6.2/23.7   10.1/24.1   17.5/24.3   34.3/25.0
+#   2      4.6/24.5   9.1/24.5   14.4/24.9   26.8/25.7   52.3/27.4
+#   3      6.6/24.5  12.3/24.6   20.6/25.2   37.6/26.5   70.9/29.2
+#   5      8.5/24.6  18.6/25.3   31.4/26.5   56.5/27.9  110.0/31.5
+#   8     13.0/24.9  27.1/25.9   47.9/27.6   87.2/30.8  165.7/35.8
+# The forms meet near M = 5, 92, 62, 44, 25 and 15 at k = 0, 1, 2, 3, 5 and
+# 8. The per-round costs below (in µs) are fitted to this table and put the
+# crossovers at M = 5, 96, 59, 42, 25 and 15; they keep the float form below
+# 96 experts, inside its one-byte origins.
+def _float_dp_is_faster(m: int, k: int) -> bool:
+    float_us = 0.47 + 0.28 * k + (0.034 + 0.048 * k) * m
+    array_us = 0.63 if k == 0 else 8.2 + 0.0037 * k * m
+    return float_us < array_us
 
 
 def best_competitor(
@@ -397,7 +412,7 @@ def best_competitor(
     if max_switches < 0:
         raise EnvironmentError_("switch budget must be nonnegative")
     k = min(max_switches, horizon - 1)
-    dp = _float_dp if m < _ARRAY_DP_MIN_EXPERTS else _array_dp
+    dp = _float_dp if _float_dp_is_faster(m, k) else _array_dp
     # origin[t, j, a]: 0 = stayed on a, 1 + a' = switched from a'
     origin, j, arm = dp(losses, k)
     path = np.empty(horizon, dtype=int)

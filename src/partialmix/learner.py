@@ -16,6 +16,7 @@ invariant under affine transforms of the losses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,6 +37,20 @@ def epsilon_schedule(n_experts: int, w_budget: float, t: int) -> float:
     if t < 1:
         raise ValueError("round index starts at 1")
     return min(1.0, n_experts ** (1.0 / 3.0) * w_budget ** (1.0 / 3.0) * t ** (-1.0 / 3.0))
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float; booleans and non-finite numbers raise, as the
+    config parser's ``_as_float`` does."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,18 +77,19 @@ class LearnerConfig:
             raise ValueError(
                 f"kernel covers {self.kernel.n_experts} experts, config says {self.n_experts}"
             )
-        if self.w_budget is not None and self.w_budget <= 0.0:
-            raise ValueError("w_budget must be positive")
-        if self.gamma is not None and self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        for name in ("w_budget", "gamma", "fixed_eta"):
+            value = getattr(self, name)
+            if value is not None:
+                value = _finite(value, name)
+                if value <= 0.0:
+                    raise ValueError(f"{name} must be positive")
+                object.__setattr__(self, name, value)
         if self.gamma is None and self.w_budget is None:
             raise ValueError("either gamma or w_budget is required")
         if self.epsilon is None and self.w_budget is None:
             raise ValueError("the default epsilon schedule needs w_budget")
-        if self.fixed_eta is not None and self.fixed_eta <= 0.0:
-            raise ValueError("fixed_eta must be positive")
-        if self.epsilon is not None and not isinstance(self.epsilon, (int, float)):
-            eps = tuple(float(e) for e in self.epsilon)
+        if self.epsilon is not None and np.ndim(self.epsilon) > 0:
+            eps = tuple(_finite(e, f"epsilon[{i}]") for i, e in enumerate(self.epsilon))
             if not eps:
                 raise ValueError("epsilon schedule is empty")
             if any(e < 0.0 or e > 1.0 for e in eps):
@@ -81,8 +97,8 @@ class LearnerConfig:
             if any(b > a + 1e-12 for a, b in zip(eps, eps[1:])):
                 raise ValueError("epsilon schedule must be non-increasing")
             object.__setattr__(self, "epsilon", eps)
-        elif isinstance(self.epsilon, (int, float)):
-            e = float(self.epsilon)
+        elif self.epsilon is not None:
+            e = _finite(self.epsilon, "epsilon")
             if not 0.0 <= e <= 1.0:
                 raise ValueError("epsilon must lie in [0, 1]")
             object.__setattr__(self, "epsilon", e)
@@ -147,8 +163,8 @@ class RateUpdate(NamedTuple):
 def select(q: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw over experts in index order; consumes one uniform."""
     u = rng.random()
-    cdf = np.cumsum(q)
-    return int(min(np.searchsorted(cdf, u, side="right"), len(q) - 1))
+    cdf = q.cumsum()
+    return int(min(cdf.searchsorted(u, side="right"), len(q) - 1))
 
 
 def estimate(
@@ -156,14 +172,14 @@ def estimate(
 ) -> np.ndarray:
     """Importance-weighted, translation-corrected loss estimates.
 
-    ``revealed`` holds the losses at ``np.flatnonzero(indicators)``, in
+    ``revealed`` holds the losses at ``indicators.nonzero()[0]``, in
     index order. ``phi_m = (loss_m - psi_new) / o_m`` for revealed indices,
     0 otherwise. ``psi_new`` must already include this round's
     observations, so every entry is nonnegative.
     """
     phi = np.zeros(len(o))
     # strict: one revealed loss per indicator 1, or a ValueError
-    for m, loss in zip(np.flatnonzero(indicators).tolist(), revealed.tolist(), strict=True):
+    for m, loss in zip(indicators.nonzero()[0].tolist(), revealed.tolist(), strict=True):
         if o[m] <= 0.0:
             raise ZeroObservationProbabilityError(
                 f"expert {m} was observed but has observation probability {o[m]}"
@@ -207,7 +223,8 @@ def prepare_round(
     q = (1.0 - eps) * p + eps / len(p)
     o = observation_probabilities(matrix, q)
     floor = eps / config.n_experts
-    if np.any(o < floor * (1.0 - OBSERVATION_FLOOR_SLACK)):
+    # one reduction; a NaN fails the comparison and raises too
+    if not o.min() >= floor * (1.0 - OBSERVATION_FLOOR_SLACK):
         raise RuntimeError(
             f"observation probability {o.min():.6g} fell below the floor "
             f"{floor:.6g} at round {state.t}; the feedback scheme is invalid"
@@ -266,7 +283,7 @@ def step(
     selected = select(ctx.q, rng)
     indicators = sample_indicators(matrix, selected, rng)
     revealed = np.array(
-        [loss_oracle(m) for m in np.flatnonzero(indicators).tolist()], dtype=float
+        [loss_oracle(m) for m in indicators.nonzero()[0].tolist()], dtype=float
     )
     phi, rate, new_state = finish_round(state, config, ctx, indicators, revealed)
     return ctx, selected, indicators, phi, rate, new_state

@@ -14,6 +14,7 @@ import pytest
 
 from partialmix import environment
 from partialmix.classnet import fixed_share_kernel
+from partialmix.evaluation import ExperimentBundle, monte_carlo
 from partialmix.learner import LearnerConfig
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -69,3 +70,30 @@ def test_traced_game_reaches_every_round_layer(tracer_module):
         "feedback.sample_indicators", "classnet.expert_marginals", "environment.generate",
     ):
         assert layers[f"{name}_s"] > 0.0, name
+
+
+def test_traced_batch_counts_one_step_per_round(tracer_module):
+    # the benchmark counts a batch's rounds as learner.step calls; a batch
+    # of seeds must therefore play every round through learner.step
+    runs, horizon, m = 2, 15, 3
+    bundle = ExperimentBundle(
+        learner_config=LearnerConfig(n_experts=m, kernel=fixed_share_kernel(m, 0.1), w_budget=8.0),
+        loss_process=environment.PiecewiseLosses(m, (0.0, 1.0), [0, 1], [0.5]),
+        feedback_process=environment.bandit_feedback(m),
+        horizon=horizon,
+        competitor=environment.CompetitorSpec("best_k_switch", switches=1),
+    )
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        summary, results = monte_carlo(bundle, runs, base_seed=4)
+    finally:
+        tracer.uninstall()
+    assert len(results) == runs
+    layers = tracer.layer_metrics()
+    assert layers["environment.run_game_calls"] == runs
+    assert layers["learner.step_calls"] == runs * horizon
+    assert layers["classnet.advance_calls"] == runs * horizon
+    # bandit feedback reveals exactly the selected loss each round
+    assert layers["feedback.revealed_losses"] == runs * horizon
+    assert layers["environment.best_competitor_s"] > 0.0

@@ -181,6 +181,82 @@ class TestAdvance:
         with pytest.raises(EmptyClassSetError):
             advance(np.full(2, -math.inf), np.zeros(2), 1.0, 1.0, kernel)
 
+    def test_shapes_checked_for_every_class_map(self):
+        for kernel in (fixed_kernel(3), TableKernel(np.array([2, 0, 1]), *uniform_table(3), 3)):
+            for phi in (np.zeros(1), np.zeros(4), np.zeros((3, 1))):
+                with pytest.raises(ClassNetError, match="shape"):
+                    advance(init_weights(kernel), phi, 1.0, 1.0, kernel)
+            for log_w in (np.zeros(1), np.zeros(4)):
+                with pytest.raises(ClassNetError, match="shape"):
+                    expert_marginals(log_w, kernel)
+
+    @pytest.mark.parametrize(
+        "phi", [[math.nan, -0.1, 0.0], [-0.1, math.nan, 0.0], [math.nan] * 3]
+    )
+    def test_nan_phi_rejected(self, phi):
+        for kernel in (fixed_kernel(3), TableKernel(np.array([2, 0, 1]), *uniform_table(3), 3)):
+            with pytest.raises(NegativePhiError):
+                advance(init_weights(kernel), np.array(phi), 1.0, 1.0, kernel)
+
+
+def uniform_table(n):
+    return np.full(n, 1.0 / n), np.full((n, n), 1.0 / n)
+
+
+def gathered_advance(log_w, phi, eta_prev, eta_new, kernel):
+    """advance with the explicit per-class gather of the estimates."""
+    new_log = kernel.mix((eta_new / eta_prev) * (log_w - eta_prev * phi[kernel.experts]))
+    return new_log - new_log.max()
+
+
+def grouped_marginals(log_w, kernel):
+    """expert_marginals with the explicit per-expert bincount."""
+    mass = np.exp(log_w - log_w.max())
+    per_expert = np.bincount(kernel.experts, weights=mass, minlength=kernel.n_experts)
+    return per_expert / per_expert.sum()
+
+
+class TestIdentityClassMap:
+    """Kernels whose class i is expert i skip the gather and the grouping;
+    every kernel must give exactly the gathered and grouped results."""
+
+    def test_flag_set_only_for_arange(self):
+        assert fixed_kernel(1)._identity
+        assert fixed_kernel(4)._identity and fixed_share_kernel(4, 0.1)._identity
+        assert TableKernel(np.arange(3), *uniform_table(3), 3)._identity
+        for experts, n_experts in (
+            ([1, 0, 2, 3], 4), ([0, 0, 1, 2], 3), ([0, 1, 2], 4), ([0, 1, 3, 2], 4)
+        ):
+            kernel = TableKernel(np.array(experts), *uniform_table(len(experts)), n_experts)
+            assert not kernel._identity, experts
+
+    @pytest.mark.parametrize(
+        "experts, n_experts",
+        [
+            ([0, 1, 2, 3], 4),  # identity
+            ([1, 0, 2, 3], 4),  # permuted
+            ([0, 0, 1, 2, 3, 3], 4),  # repeated experts
+            ([0, 1, 3], 4),  # expert 2 has no class
+        ],
+    )
+    def test_matches_gather_and_bincount(self, experts, n_experts):
+        rng = np.random.default_rng(len(experts) * 10 + experts[0])
+        n = len(experts)
+        matrix = np.vstack([rng.dirichlet(np.ones(n)) for _ in range(n)])
+        kernels = [TableKernel(np.array(experts), rng.dirichlet(np.ones(n)), matrix, n_experts)]
+        if experts == list(range(n_experts)):
+            kernels += [fixed_kernel(n), fixed_share_kernel(n, 0.3)]
+        for kernel in kernels:
+            log_w = init_weights(kernel)
+            for _ in range(20):
+                phi = rng.uniform(0.0, 3.0, size=n_experts)
+                got = advance(log_w, phi, 0.9, 0.8, kernel)
+                np.testing.assert_array_equal(got, gathered_advance(log_w, phi, 0.9, 0.8, kernel))
+                np.testing.assert_array_equal(
+                    expert_marginals(got, kernel), grouped_marginals(got, kernel)
+                )
+                log_w = got
+
 
 def dense_mix(kernel, scaled):
     """The reference O(n^2) mix over the full log table."""

@@ -6,7 +6,6 @@ import pytest
 
 from partialmix.classnet import fixed_kernel, fixed_share_kernel
 from partialmix.environment import (
-    _ARRAY_DP_MIN_EXPERTS,
     BernoulliArm,
     CompetitorSpec,
     ConstantFeedback,
@@ -16,6 +15,7 @@ from partialmix.environment import (
     ScriptedFeedback,
     ScriptedLosses,
     UniformArm,
+    _float_dp_is_faster,
     bandit_feedback,
     best_competitor,
     full_feedback_process,
@@ -147,6 +147,23 @@ class TestRunGame:
         assert first[transcript.selected[0]] == 1
         assert first.sum() == 1
 
+    def test_reading_an_unrevealed_loss_aborts_the_game(self, monkeypatch):
+        from partialmix import environment
+
+        real_step = environment.step
+
+        def peeking_step(state, config, matrix, loss_oracle, rng):
+            result = real_step(state, config, matrix, loss_oracle, rng)
+            if state.t == 3:
+                indicators = result[2]
+                loss_oracle(int(np.flatnonzero(indicators == 0)[0]))
+            return result
+
+        monkeypatch.setattr(environment, "step", peeking_step)
+        losses = IIDLosses([UniformArm(0, 1)] * 3, (0.0, 1.0))
+        with pytest.raises(RuntimeError, match="unrevealed loss at round 3"):
+            run_game(bandit_config(3), losses, bandit_feedback(3), 5, seed=0)
+
     def test_dimension_mismatch_rejected(self):
         config = bandit_config(3)
         losses = IIDLosses([UniformArm(0, 1)] * 2, (0.0, 1.0))
@@ -242,8 +259,13 @@ def reference_best_path(losses, max_switches):
     return path
 
 
-# expert counts on both sides of the float/array crossover of the DP
-BELOW, AT = _ARRAY_DP_MIN_EXPERTS - 1, _ARRAY_DP_MIN_EXPERTS
+def first_array_m(k):
+    """The smallest expert count at which the DP takes its array form."""
+    return next(m for m in range(1, 256) if not _float_dp_is_faster(m, k))
+
+
+# wide fixed cases, on both sides of M = 48
+BELOW, AT = 47, 48
 
 
 class TestBestCompetitorDifferential:
@@ -263,7 +285,25 @@ class TestBestCompetitorDifferential:
         np.testing.assert_array_equal(got.experts, reference_best_path(losses, k))
 
     def test_crossover_splits_the_cases(self):
-        assert 2 <= BELOW < AT <= 254
+        # the crossover moves with the switch budget; the float form's
+        # one-byte origins need M < 256 at every budget
+        bounds = [first_array_m(k) for k in range(200)]
+        assert bounds[0] < bounds[5] < bounds[2] < bounds[1] <= 254
+        assert not any(_float_dp_is_faster(m, k) for m in (255, 256, 1024) for k in range(200))
+
+    def test_benchmark_workloads_keep_their_forms(self):
+        assert _float_dp_is_faster(4, 2)  # the shipped switching config
+        assert _float_dp_is_faster(2, 0) and _float_dp_is_faster(4, 0)  # validate's best_fixed
+        assert not _float_dp_is_faster(256, 2)  # the wide switching run
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_matches_reference_at_the_crossover(self, kind, k):
+        last_float = first_array_m(k) - 1
+        assert _float_dp_is_faster(last_float, k)
+        for m in (last_float, last_float + 1):
+            for horizon in (k + 1, 90):
+                self.check(self.losses(kind, horizon, m, seed=horizon * 1000 + m * 10 + k), k)
 
     @pytest.mark.parametrize("kind", ["continuous", "integer"])
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from partialmix.environment import (
     CompetitorSpec,
     ScriptedLosses,
     bandit_feedback,
+    full_feedback_process,
     resolve_competitor,
     run_game,
 )
@@ -250,6 +251,25 @@ class TestCheckLemmas:
         diagnostics = check_lemmas(transcript, competitor)
         assert diagnostics["rate_drop"].lhs == 0.0
         assert diagnostics.all_passed
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_tracking_bound_is_within_a_factor_four(self, m):
+        # one expert always loses 0, the rest 1, everything revealed: the
+        # estimate regret climbs to about 0.3 of the tracking bound, so the
+        # check fails here if its bound side shrinks by a factor 0.25
+        config = LearnerConfig(n_experts=m, kernel=fixed_kernel(m), w_budget=1.0, epsilon=0.0)
+        values = np.ones((30, m))
+        values[:, -1] = 0.0
+        transcript = run_game(
+            config, ScriptedLosses(values, (0.0, 1.0)), full_feedback_process(m), 30, seed=3
+        )
+        competitor = resolve_competitor(
+            CompetitorSpec("best_fixed"), transcript.losses, config.kernel
+        )
+        tracking = check_lemmas(transcript, competitor)["tracking"]
+        assert tracking.passed
+        assert tracking.rhs >= 1.0
+        assert tracking.lhs >= 0.25 * tracking.rhs
 
 
 class TestMonteCarlo:

@@ -243,6 +243,19 @@ class TestStep:
         with pytest.raises(RuntimeError, match="floor"):
             play(config, matrix, np.full((3, 2), 0.5))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[math.nan, 0.0], [0.0, 0.1]],  # a NaN next to an entry below the floor
+            [[0.1, 0.0], [0.0, math.nan]],
+            [[math.nan, math.nan], [math.nan, math.nan]],  # all NaN
+        ],
+    )
+    def test_nan_observation_probability_trips_the_floor_check(self, entries):
+        config = bandit_config(2, w=1.0)
+        with pytest.raises(RuntimeError, match="floor"):
+            prepare_round(init_state(config), config, FeedbackMatrix(np.array(entries), "strict"))
+
     def test_full_feedback_fixed_eta_matches_exponential_weights(self):
         # with everything revealed, o = 1 and the identity-kernel marginals
         # collapse to a softmax of -eta * cumulative losses (the psi
@@ -303,3 +316,41 @@ class TestLearnerConfig:
     def test_kernel_size_mismatch(self):
         with pytest.raises(ValueError, match="kernel covers"):
             LearnerConfig(n_experts=3, kernel=fixed_kernel(2), w_budget=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"w_budget": True},
+            {"w_budget": np.True_},
+            {"w_budget": math.nan},
+            {"w_budget": math.inf},
+            {"w_budget": 10**400},
+            {"w_budget": "2.0"},
+            {"gamma": True},
+            {"gamma": math.nan},
+            {"gamma": math.inf},
+            {"fixed_eta": True},
+            {"fixed_eta": math.nan},
+            {"fixed_eta": math.inf},
+            {"epsilon": True},
+            {"epsilon": False},
+            {"epsilon": math.nan},
+            {"epsilon": [0.5, True]},
+            {"epsilon": [1.0, math.nan]},
+            {"epsilon": (False,)},
+        ],
+    )
+    def test_booleans_and_non_finite_values_rejected(self, kwargs):
+        params = {"n_experts": 2, "kernel": fixed_kernel(2), "gamma": 1.0, "w_budget": 1.0}
+        with pytest.raises(ValueError):
+            LearnerConfig(**{**params, **kwargs})
+
+    def test_numbers_are_stored_as_floats(self):
+        config = LearnerConfig(
+            n_experts=2, kernel=fixed_kernel(2), w_budget=2, gamma=np.float32(0.5),
+            fixed_eta=3, epsilon=np.array([1, 0.5]),
+        )
+        assert (config.w_budget, config.gamma, config.fixed_eta) == (2.0, 0.5, 3.0)
+        assert all(type(v) is float for v in (config.w_budget, config.gamma, config.fixed_eta))
+        assert config.epsilon == (1.0, 0.5)
+        assert LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1, epsilon=1).epsilon == 1.0
