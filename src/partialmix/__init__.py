@@ -66,6 +66,6 @@ from .learner import (
     step,
     update_rate,
 )
-from .oracle import EnumerationLimit, enumerate_weights, exact_expected_regret
+from .oracle import enumerate_weights, exact_expected_regret
 
 __version__ = "0.1.0"

@@ -214,8 +214,10 @@ def advance(
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (kernel.n_experts,):
         raise ClassNetError(f"phi has shape {phi.shape}, expected ({kernel.n_experts},)")
-    # one reduction; a NaN fails the comparison and raises too
+    # one reduction; a NaN fails the comparison too and is named here
     if not phi.min() >= 0.0:
+        if np.isnan(phi).any():
+            raise NegativePhiError(f"loss estimate {int(np.isnan(phi).argmax())} is NaN")
         raise NegativePhiError(f"loss estimates must be nonnegative, got min {phi.min()}")
     if eta_prev <= 0.0 or eta_new <= 0.0:
         raise ClassNetError("learning rates must be positive")

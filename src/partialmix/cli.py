@@ -273,6 +273,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
         if args.runs is not None and args.runs < 1:
             raise ConfigError("--runs", f"must be at least 1, got {args.runs}")
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         cfg = load_config(args.config) if args.config else None
         if args.command == "validate":
             return _cmd_validate(cfg, args)

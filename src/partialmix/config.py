@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +81,17 @@ def _as_list(value, path: str) -> list:
     return value
 
 
+def _as_matrix(value, path: str) -> np.ndarray:
+    """A JSON array of number rows, all of one length, as a float array."""
+    rows = []
+    for i, row in enumerate(_as_list(value, path)):
+        row = _as_list(row, f"{path}[{i}]")
+        if rows and len(row) != len(rows[0]):
+            raise ConfigError(f"{path}[{i}]", f"has {len(row)} entries, row 0 has {len(rows[0])}")
+        rows.append([_as_float(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(rows)
+
+
 def _expert_index(value, path: str, n_experts: int) -> int:
     idx = _as_int(value, path)
     if not 1 <= idx <= n_experts:
@@ -121,15 +132,10 @@ def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TableKernel:
             _as_float(v, f"{path}.prior[{i}]")
             for i, v in enumerate(_as_list(_require(spec, "prior", path), f"{path}.prior"))
         ]
-        rows = _as_list(_require(spec, "transitions", path), f"{path}.transitions")
-        matrix = [
-            [_as_float(v, f"{path}.transitions[{i}][{j}]") for j, v in
-             enumerate(_as_list(row, f"{path}.transitions[{i}]"))]
-            for i, row in enumerate(rows)
-        ]
+        matrix = _as_matrix(_require(spec, "transitions", path), f"{path}.transitions")
         try:
             experts = np.array([expert for expert, _ in labels], dtype=int)
-            return TableKernel(experts, np.array(prior), np.array(matrix), n_experts)
+            return TableKernel(experts, np.array(prior), matrix, n_experts)
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.type", f"unknown kernel type {kind!r}")
@@ -150,13 +156,7 @@ def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
             if "csv" in spec:
                 values = _load_loss_csv(spec["csv"], f"{path}.csv")
             else:
-                rows = _as_list(_require(spec, "values", path), f"{path}.values")
-                values = [
-                    [_as_float(v, f"{path}.values[{i}][{j}]") for j, v in
-                     enumerate(_as_list(row, f"{path}.values[{i}]"))]
-                    for i, row in enumerate(rows)
-                ]
-                values = np.array(values)
+                values = _as_matrix(_require(spec, "values", path), f"{path}.values")
             if values.ndim != 2 or values.shape[1] != n_experts:
                 raise ConfigError(
                     f"{path}.values", f"need T x {n_experts} losses, got {values.shape}"
@@ -227,13 +227,7 @@ def parse_feedback_process(spec, n_experts: int, path: str = "feedback") -> Feed
         raise ConfigError(f"{path}.mode", f"unknown mode {mode!r}")
 
     def build(matrix_rows, matrix_path: str) -> fb.FeedbackMatrix:
-        rows = _as_list(matrix_rows, matrix_path)
-        entries = [
-            [_as_float(v, f"{matrix_path}[{i}][{j}]") for j, v in
-             enumerate(_as_list(row, f"{matrix_path}[{i}]"))]
-            for i, row in enumerate(rows)
-        ]
-        matrix = fb.FeedbackMatrix(np.array(entries), mode)
+        matrix = fb.FeedbackMatrix(_as_matrix(matrix_rows, matrix_path), mode)
         if matrix.entries.ndim != 2 or matrix.entries.shape != (n_experts, n_experts):
             raise ConfigError(
                 matrix_path, f"need a {n_experts} x {n_experts} matrix, got {matrix.entries.shape}"
@@ -356,7 +350,6 @@ def _check_competitor_classes(competitor: CompetitorSpec, kernel: TableKernel) -
 class ExperimentConfig:
     """Parsed experiment: learner, environment, competitor, seeds, output."""
 
-    n_experts: int
     horizon: int
     learner: LearnerConfig
     loss_process: LossProcess
@@ -369,7 +362,6 @@ class ExperimentConfig:
     sweep_horizons: tuple[int, ...] | None
     sweep_runs: int | None
     validate_options: dict
-    raw: dict = field(repr=False)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -387,7 +379,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     fixed_eta = _as_float(raw["fixed_eta"], "fixed_eta") if raw.get("fixed_eta") is not None else None
     try:
         learner = LearnerConfig(
-            n_experts=n_experts,
             kernel=kernel,
             w_budget=w_budget,
             gamma=gamma,
@@ -429,7 +420,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             sweep_runs = _as_int(sweep["runs"], "sweep.runs", 1)
     validate_options = _parse_validate(raw.get("validate", {}))
     return ExperimentConfig(
-        n_experts=n_experts,
         horizon=horizon,
         learner=learner,
         loss_process=loss_process,
@@ -442,7 +432,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         sweep_horizons=sweep_horizons,
         sweep_runs=sweep_runs,
         validate_options=validate_options,
-        raw=raw,
     )
 
 

@@ -41,20 +41,15 @@ class BernoulliArm:
 class LossProcess(ABC):
     """Generates a T x M loss matrix; every value lies in ``loss_range``."""
 
-    @property
-    @abstractmethod
-    def n_experts(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def loss_range(self) -> tuple[float, float]: ...
+    def __init__(self, n_experts: int, loss_range: tuple[float, float]):
+        low, high = float(loss_range[0]), float(loss_range[1])
+        if not low < high:
+            raise EnvironmentError_(f"loss range [{low}, {high}] must have low < high")
+        self.n_experts = n_experts
+        self.loss_range = (low, high)
 
     @abstractmethod
     def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray: ...
-
-    def _check_range(self, low: float, high: float) -> None:
-        if not low < high:
-            raise EnvironmentError_(f"loss range [{low}, {high}] must have low < high")
 
 
 class ScriptedLosses(LossProcess):
@@ -64,22 +59,13 @@ class ScriptedLosses(LossProcess):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise EnvironmentError_(f"scripted losses must be a T x M matrix, got {values.shape}")
-        low, high = float(loss_range[0]), float(loss_range[1])
-        self._check_range(low, high)
+        super().__init__(values.shape[1], loss_range)
+        low, high = self.loss_range
         if not np.all(np.isfinite(values)):
             raise EnvironmentError_("scripted losses must be finite")
         if np.any(values < low) or np.any(values > high):
             raise EnvironmentError_("scripted losses leave the declared range")
         self._values = values
-        self._range = (low, high)
-
-    @property
-    def n_experts(self) -> int:
-        return self._values.shape[1]
-
-    @property
-    def loss_range(self) -> tuple[float, float]:
-        return self._range
 
     def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         if horizon > self._values.shape[0]:
@@ -97,8 +83,8 @@ class IIDLosses(LossProcess):
         arms: list[UniformArm | BernoulliArm],
         loss_range: tuple[float, float],
     ):
-        low, high = float(loss_range[0]), float(loss_range[1])
-        self._check_range(low, high)
+        super().__init__(len(arms), loss_range)
+        low, high = self.loss_range
         if not arms:
             raise EnvironmentError_("need at least one arm")
         for i, arm in enumerate(arms):
@@ -113,18 +99,9 @@ class IIDLosses(LossProcess):
             else:
                 raise EnvironmentError_(f"unknown arm spec {arm!r}")
         self._arms = list(arms)
-        self._range = (low, high)
-
-    @property
-    def n_experts(self) -> int:
-        return len(self._arms)
-
-    @property
-    def loss_range(self) -> tuple[float, float]:
-        return self._range
 
     def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        low, high = self._range
+        low, high = self.loss_range
         out = np.empty((horizon, len(self._arms)))
         for i, arm in enumerate(self._arms):
             if isinstance(arm, UniformArm):
@@ -151,8 +128,8 @@ class PiecewiseLosses(LossProcess):
         boundaries: list[float],
         gap: float | None = None,
     ):
-        low, high = float(loss_range[0]), float(loss_range[1])
-        self._check_range(low, high)
+        super().__init__(n_experts, loss_range)
+        low, high = self.loss_range
         if gap is None:
             gap = 0.2 * (high - low)
         if not 0.0 < gap < high - low:
@@ -168,40 +145,23 @@ class PiecewiseLosses(LossProcess):
             raise EnvironmentError_("boundaries must be increasing fractions in (0, 1)")
         if any(not 0 <= a < n_experts for a in best_arms):
             raise EnvironmentError_("best arm index out of range")
-        self._m = n_experts
-        self._range = (low, high)
         self._best = list(best_arms)
         self._boundaries = list(boundaries)
-        self._gap = float(gap)
-
-    @property
-    def n_experts(self) -> int:
-        return self._m
-
-    @property
-    def loss_range(self) -> tuple[float, float]:
-        return self._range
-
-    @property
-    def gap(self) -> float:
-        return self._gap
-
-    def segment_starts(self, horizon: int) -> list[int]:
-        return [0] + [int(round(b * horizon)) for b in self._boundaries]
+        self.gap = float(gap)
 
     def best_arm_path(self, horizon: int) -> np.ndarray:
         """The designed per-round favorite (hindsight reference)."""
-        starts = self.segment_starts(horizon) + [horizon]
+        starts = [0] + [int(round(b * horizon)) for b in self._boundaries] + [horizon]
         path = np.empty(horizon, dtype=int)
         for arm, lo, hi in zip(self._best, starts, starts[1:]):
             path[lo:hi] = arm
         return path
 
     def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        low, high = self._range
-        width = high - low - self._gap
-        u = rng.random((horizon, self._m))
-        out = low + self._gap + u * width
+        low, high = self.loss_range
+        width = high - low - self.gap
+        u = rng.random((horizon, self.n_experts))
+        out = low + self.gap + u * width
         path = self.best_arm_path(horizon)
         rows = np.arange(horizon)
         out[rows, path] = low + u[rows, path] * width
@@ -209,11 +169,10 @@ class PiecewiseLosses(LossProcess):
 
 
 class FeedbackProcess(ABC):
-    """Per-round feedback schemes; every emitted matrix is pre-validated."""
+    """Per-round feedback schemes; every emitted matrix is pre-validated and
+    covers ``n_experts`` experts."""
 
-    @property
-    @abstractmethod
-    def n_experts(self) -> int: ...
+    n_experts: int
 
     @abstractmethod
     def matrix_at(self, t: int) -> fb.FeedbackMatrix: ...
@@ -226,10 +185,7 @@ class ConstantFeedback(FeedbackProcess):
     def __init__(self, matrix: fb.FeedbackMatrix):
         fb.validate(matrix)
         self._matrix = matrix
-
-    @property
-    def n_experts(self) -> int:
-        return self._matrix.n_experts
+        self.n_experts = matrix.n_experts
 
     def matrix_at(self, t: int) -> fb.FeedbackMatrix:
         return self._matrix
@@ -245,10 +201,7 @@ class ScriptedFeedback(FeedbackProcess):
         if len(sizes) != 1:
             raise EnvironmentError_("scripted feedback matrices disagree in size")
         self._matrices = list(matrices)
-
-    @property
-    def n_experts(self) -> int:
-        return self._matrices[0].n_experts
+        self.n_experts = sizes.pop()
 
     def matrix_at(self, t: int) -> fb.FeedbackMatrix:
         return self._matrices[t - 1]

@@ -99,7 +99,7 @@ def check_lemmas(
             f"competitor covers {len(competitor)} rounds, transcript {horizon}"
         )
     kernel = transcript.config.kernel
-    gamma = transcript.config.gamma_value
+    gamma = transcript.config.gamma
     m = transcript.config.n_experts
     eta, v, d = transcript.eta, transcript.v, transcript.d
     v_run, d_run = transcript.V, transcript.D
@@ -198,7 +198,7 @@ def _bound(config: LearnerConfig, w: float, epsilons: np.ndarray) -> BoundValue:
     term is infinite, gets no guarantee: the bound is infinite."""
     if math.isinf(w) or np.any(epsilons == 0.0):
         return BoundValue(math.inf, math.inf)
-    return theoretical_bound(config.n_experts, w, config.gamma_value, epsilons)
+    return theoretical_bound(config.n_experts, w, config.gamma, epsilons)
 
 
 @dataclass(frozen=True)
@@ -379,10 +379,13 @@ def monte_carlo(
 ) -> tuple[BatchSummary, list[RunResult]]:
     """Play ``n_seeds`` independent games on seeds ``base_seed + i`` and
     aggregate their regrets. Deterministic given the base seed; results do
-    not depend on worker count."""
+    not depend on worker count. Starts at most one worker per seed."""
     if n_seeds < 1:
         raise ValueError("need at least one seed")
+    if n_workers < 1:
+        raise ValueError("need at least one worker")
     seeds = [base_seed + i for i in range(n_seeds)]
+    n_workers = min(n_workers, n_seeds)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_one, [bundle] * n_seeds, seeds, chunksize=8))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -57,26 +57,29 @@ def _finite(value, name: str) -> float:
 class LearnerConfig:
     """Static learner parameters.
 
-    ``gamma`` defaults to ``sqrt(w_budget)``. ``epsilon`` may be a fixed
-    value or an explicit non-increasing schedule; by default the
-    ``epsilon_schedule`` driven by ``w_budget`` is used. ``fixed_eta``
-    disables rate adaptation (debugging / oracle comparisons).
+    The kernel fixes the expert count ``n_experts``; a count passed by
+    keyword is only checked against it. ``gamma`` defaults to
+    ``sqrt(w_budget)``. ``epsilon`` may be a fixed value or an explicit
+    non-increasing schedule; by default the ``epsilon_schedule`` driven by
+    ``w_budget`` is used. ``fixed_eta`` disables rate adaptation
+    (debugging / oracle comparisons).
     """
 
-    n_experts: int
     kernel: TableKernel
     w_budget: float | None = None
     gamma: float | None = None
     epsilon: float | Sequence[float] | None = None
     fixed_eta: float | None = None
+    n_experts: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
-        if self.n_experts < 1:
-            raise ValueError("need at least one expert")
-        if self.kernel.n_experts != self.n_experts:
+    def __post_init__(self, n_experts: int | None) -> None:
+        if n_experts is not None and (
+            isinstance(n_experts, bool) or n_experts != self.kernel.n_experts
+        ):
             raise ValueError(
-                f"kernel covers {self.kernel.n_experts} experts, config says {self.n_experts}"
+                f"kernel covers {self.kernel.n_experts} experts, config says {n_experts!r}"
             )
+        object.__setattr__(self, "n_experts", self.kernel.n_experts)
         for name in ("w_budget", "gamma", "fixed_eta"):
             value = getattr(self, name)
             if value is not None:
@@ -86,6 +89,8 @@ class LearnerConfig:
                 object.__setattr__(self, name, value)
         if self.gamma is None and self.w_budget is None:
             raise ValueError("either gamma or w_budget is required")
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", math.sqrt(self.w_budget))
         if self.epsilon is None and self.w_budget is None:
             raise ValueError("the default epsilon schedule needs w_budget")
         if self.epsilon is not None and np.ndim(self.epsilon) > 0:
@@ -102,12 +107,6 @@ class LearnerConfig:
             if not 0.0 <= e <= 1.0:
                 raise ValueError("epsilon must lie in [0, 1]")
             object.__setattr__(self, "epsilon", e)
-
-    @property
-    def gamma_value(self) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        return math.sqrt(self.w_budget)
 
     def epsilon_at(self, t: int) -> float:
         if self.epsilon is None:
@@ -205,7 +204,7 @@ def update_rate(
     if config.fixed_eta is not None:
         eta = config.fixed_eta
     elif V + D * D > 0.0:
-        eta = config.gamma_value / math.sqrt(V + D * D)
+        eta = config.gamma / math.sqrt(V + D * D)
     else:
         eta = None
     return RateUpdate(eta, V, D, v, d)
@@ -223,8 +222,13 @@ def prepare_round(
     q = (1.0 - eps) * p + eps / len(p)
     o = observation_probabilities(matrix, q)
     floor = eps / config.n_experts
-    # one reduction; a NaN fails the comparison and raises too
+    # one reduction; a NaN fails the comparison too and is named here
     if not o.min() >= floor * (1.0 - OBSERVATION_FLOOR_SLACK):
+        if np.isnan(o).any():
+            raise RuntimeError(
+                f"observation probability {int(np.isnan(o).argmax())} is NaN at round "
+                f"{state.t}, so the floor {floor:.6g} cannot hold; the feedback scheme is invalid"
+            )
         raise RuntimeError(
             f"observation probability {o.min():.6g} fell below the floor "
             f"{floor:.6g} at round {state.t}; the feedback scheme is invalid"
@@ -245,22 +249,19 @@ def finish_round(
     psi = min([state.psi, *revealed.tolist()])
     phi = estimate(indicators, revealed, ctx.o, psi)
     rate = update_rate(state, phi, ctx.p, config)
-    if rate.eta is None:
-        # all estimates so far are zero; any exponent gives the same weights
-        new_weights = advance(state.weights, phi, 1.0, 1.0, config.kernel)
-    elif state.eta_prev is None:
-        # first informative round: prior enters at power 1, estimates at
-        # the fresh rate
-        new_weights = advance(state.weights, phi, rate.eta, rate.eta, config.kernel)
-    else:
-        new_weights = advance(state.weights, phi, state.eta_prev, rate.eta, config.kernel)
+    # an unset rate means every estimate so far is zero, so any exponent
+    # gives the same weights; V and D never decrease, so it also means an
+    # unset eta_prev. The first informative round takes the prior at power
+    # 1 and the estimates at the fresh rate.
+    eta_new = 1.0 if rate.eta is None else rate.eta
+    eta_prev = eta_new if state.eta_prev is None else state.eta_prev
     new_state = LearnerState(
         t=state.t + 1,
         psi=psi,
         V=rate.V,
         D=rate.D,
-        eta_prev=rate.eta if rate.eta is not None else state.eta_prev,
-        weights=new_weights,
+        eta_prev=rate.eta,
+        weights=advance(state.weights, phi, eta_prev, eta_new, config.kernel),
     )
     return phi, rate, new_state
 

@@ -12,7 +12,6 @@ so the equivalences are reproducible without a test framework.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -30,24 +29,11 @@ class OutcomeExplosionError(ValueError):
     """The selection/observation outcome tree exceeds the enumeration guard."""
 
 
-@dataclass(frozen=True)
-class EnumerationLimit:
-    max_paths: int = 10**6
-    max_outcomes: int = 10**6
-
-    def __post_init__(self) -> None:
-        if self.max_paths < 1 or self.max_outcomes < 1:
-            raise ValueError("enumeration limits must be positive")
-
-
-DEFAULT_LIMIT = EnumerationLimit()
-
-
 def enumerate_weights(
     kernel: TableKernel,
     phi_history: np.ndarray,
     eta: float,
-    limit: EnumerationLimit = DEFAULT_LIMIT,
+    max_paths: int = 10**6,
 ) -> np.ndarray:
     """Expert marginals after the given estimate history at a fixed rate,
     by explicit path enumeration.
@@ -65,8 +51,8 @@ def enumerate_weights(
         raise ValueError("the fixed rate must be positive")
     n_classes = len(kernel.experts)
     n_paths = n_classes ** (horizon + 1)
-    if n_paths > limit.max_paths:
-        raise PathExplosionError(f"{n_paths} class paths exceed the limit {limit.max_paths}")
+    if n_paths > max_paths:
+        raise PathExplosionError(f"{n_paths} class paths exceed the limit {max_paths}")
     prior = kernel.prior.tolist()
     matrix = kernel.matrix.tolist()
     experts = kernel.experts.tolist()
@@ -97,7 +83,7 @@ def exact_expected_regret(
     losses: np.ndarray,
     feedback_process: FeedbackProcess,
     competitor_experts: np.ndarray | list[int],
-    limit: EnumerationLimit = DEFAULT_LIMIT,
+    max_outcomes: int = 10**6,
 ) -> float:
     """Exact expected realized regret on a tiny scripted instance.
 
@@ -134,10 +120,8 @@ def exact_expected_regret(
                 if branch == 0.0:
                     continue
                 visited += 1
-                if visited > limit.max_outcomes:
-                    raise OutcomeExplosionError(
-                        f"outcome tree exceeds the limit {limit.max_outcomes}"
-                    )
+                if visited > max_outcomes:
+                    raise OutcomeExplosionError(f"outcome tree exceeds the limit {max_outcomes}")
                 indicators = np.array(pattern, dtype=np.int8)
                 revealed = row[np.flatnonzero(indicators)]
                 next_state = finish_round(state, config, ctx, indicators, revealed)[2]

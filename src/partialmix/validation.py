@@ -56,9 +56,13 @@ def random_table_kernel(rng: np.random.Generator, n_experts: int) -> TableKernel
     return TableKernel(experts, prior, matrix, n_experts)
 
 
-def oracle_equivalence_suite(
-    n_instances: int = 50, seed: int = 20240, tolerance: float = 1e-10
-) -> CheckResult:
+# worst relative difference the oracle check accepts, and the (scale, shift)
+# pairs the affine check plays
+ORACLE_TOLERANCE = 1e-10
+AFFINE_TRANSFORMS = ((0.5, -5.0), (3.0, 10.0))
+
+
+def oracle_equivalence_suite(n_instances: int = 50, seed: int = 20240) -> CheckResult:
     """Fixed-rate class recursion versus explicit path enumeration on random
     small instances."""
     rng = np.random.default_rng(seed)
@@ -84,7 +88,7 @@ def oracle_equivalence_suite(
         worst = max(worst, diff)
     return CheckResult(
         "oracle_weight_equivalence",
-        worst <= tolerance,
+        worst <= ORACLE_TOLERANCE,
         f"{n_instances} instances, worst relative difference {worst:.3e}",
     )
 
@@ -128,7 +132,7 @@ def random_experiment(
     losses = IIDLosses(arms, (0.0, 1.0))
 
     w_budget = complexity(kernel, competitor)
-    config = LearnerConfig(n_experts=m, kernel=kernel, w_budget=w_budget)
+    config = LearnerConfig(kernel=kernel, w_budget=w_budget)
     bundle = ExperimentBundle(
         learner_config=config,
         loss_process=losses,
@@ -194,7 +198,7 @@ def affine_pair(
     def play(values: np.ndarray, low: float, high: float):
         process = ScriptedLosses(values, (low, high))
         # best_fixed under the fixed kernel costs exactly 2 log M
-        config = LearnerConfig(n_experts=n_experts, kernel=kernel, w_budget=2 * math.log(n_experts))
+        config = LearnerConfig(kernel=kernel, w_budget=2 * math.log(n_experts))
         transcript = run_game(config, process, bandit_feedback(n_experts), horizon, seed)
         competitor = resolve_competitor(spec, transcript.losses, kernel)
         report = realized_regret(transcript, competitor, with_diagnostics=False)
@@ -217,14 +221,12 @@ def affine_pair(
     )
 
 
-def affine_suite(
-    horizon: int = 1000, seed: int = 7, transforms: tuple[tuple[float, float], ...] = ((0.5, -5.0), (3.0, 10.0))
-) -> CheckResult:
+def affine_suite(horizon: int = 1000, seed: int = 7) -> CheckResult:
     worst_q = 0.0
     worst_scale = 0.0
     worst_norm = 0.0
     aligned = True
-    for scale, shift in transforms:
+    for scale, shift in AFFINE_TRANSFORMS:
         cmp = affine_pair(scale, shift, horizon=horizon, seed=seed)
         worst_q = max(worst_q, cmp.q_sup_diff)
         worst_scale = max(worst_scale, cmp.regret_scale_error)

@@ -38,7 +38,7 @@ def switching_bundle(horizon: int, n_seeds_hint: int = 0) -> ExperimentBundle:
         + 2 * math.log((m - 1) / alpha)
         + (horizon - 3) * math.log(1.0 / (1.0 - alpha))
     )
-    config = LearnerConfig(n_experts=m, kernel=kernel, w_budget=w_budget)
+    config = LearnerConfig(kernel=kernel, w_budget=w_budget)
     losses = PiecewiseLosses(m, (0.0, 1.0), [0, 1, 2], [1 / 3, 2 / 3])
     return ExperimentBundle(
         learner_config=config,
@@ -84,7 +84,7 @@ class TestAcceptance:
         rng = np.random.default_rng(90210)
         m, horizon, resamples = 3, 60, 10**5
         matrix = FeedbackMatrix(np.vstack([rng.dirichlet(np.ones(m)) for _ in range(m)]))
-        config = LearnerConfig(n_experts=m, kernel=fixed_kernel(m), w_budget=2 * math.log(m))
+        config = LearnerConfig(kernel=fixed_kernel(m), w_budget=2 * math.log(m))
         values = rng.uniform(size=(horizon, m))
         from partialmix.environment import ConstantFeedback
 
@@ -141,7 +141,7 @@ class TestAcceptance:
     def test_5_exact_expectation_cross_check(self):
         started = time.perf_counter()
         kernel = fixed_kernel(2)
-        config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.5)
+        config = LearnerConfig(kernel=kernel, gamma=1.0, epsilon=0.5)
         values = np.array([[0.1, 0.7], [0.6, 0.2]])
         process = ScriptedLosses(values, (0.0, 1.0))
         competitor = [0, 0]

@@ -51,7 +51,7 @@ def test_loss_processes_define_generate(tracer_module):
 
 def test_traced_game_reaches_every_round_layer(tracer_module):
     horizon, m = 12, 3
-    config = LearnerConfig(n_experts=m, kernel=fixed_share_kernel(m, 0.1), w_budget=5.0)
+    config = LearnerConfig(kernel=fixed_share_kernel(m, 0.1), w_budget=5.0)
     losses = environment.PiecewiseLosses(m, (0.0, 1.0), [0, 1], [0.5])
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -77,7 +77,7 @@ def test_traced_batch_counts_one_step_per_round(tracer_module):
     # of seeds must therefore play every round through learner.step
     runs, horizon, m = 2, 15, 3
     bundle = ExperimentBundle(
-        learner_config=LearnerConfig(n_experts=m, kernel=fixed_share_kernel(m, 0.1), w_budget=8.0),
+        learner_config=LearnerConfig(kernel=fixed_share_kernel(m, 0.1), w_budget=8.0),
         loss_process=environment.PiecewiseLosses(m, (0.0, 1.0), [0, 1], [0.5]),
         feedback_process=environment.bandit_feedback(m),
         horizon=horizon,

@@ -141,7 +141,7 @@ class TestAdvance:
 
     def test_negative_phi_rejected(self):
         kernel = fixed_kernel(2)
-        with pytest.raises(NegativePhiError):
+        with pytest.raises(NegativePhiError, match=r"^loss estimates must be nonnegative, got min -0\.1$"):
             advance(init_weights(kernel), np.array([-0.1, 0.0]), 1.0, 1.0, kernel)
 
     def test_marginals_invariant_to_log_weight_shift(self):
@@ -195,7 +195,7 @@ class TestAdvance:
     )
     def test_nan_phi_rejected(self, phi):
         for kernel in (fixed_kernel(3), TableKernel(np.array([2, 0, 1]), *uniform_table(3), 3)):
-            with pytest.raises(NegativePhiError):
+            with pytest.raises(NegativePhiError, match=r"^loss estimate [01] is NaN$"):
                 advance(init_weights(kernel), np.array(phi), 1.0, 1.0, kernel)
 
 

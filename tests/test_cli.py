@@ -152,7 +152,7 @@ def reference_rounds_csv(transcript, competitor, run_index):
 class TestRoundsCsv:
     def test_matches_per_value_format(self, tmp_path):
         m = 4
-        config = LearnerConfig(n_experts=m, kernel=fixed_share_kernel(m, 0.1), w_budget=10.0)
+        config = LearnerConfig(kernel=fixed_share_kernel(m, 0.1), w_budget=10.0)
         losses = PiecewiseLosses(m, (0.0, 1.0), best_arms=[0, 2], boundaries=[0.5])
         transcript = run_game(config, losses, bandit_feedback(m), 6, seed=3)
         extremes = [
@@ -206,6 +206,20 @@ class TestBatch:
         out = tmp_path / "out"
         assert main(["batch", "--config", str(path), "--out", str(out), "--runs", "2"]) == 0
         assert json.loads((out / "batch.json").read_text())["n_seeds"] == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["batch", "--config", str(path), "--out", str(out), "--threads", threads]) == 2
+        assert f"config error: --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ragged_feedback_matrix_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, feedback={"kind": "constant", "matrix": [[1, 0, 0], [1.0]]})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: feedback.matrix[1]: has 1 entries, row 0 has 3" in err
 
     def test_zero_runs_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -31,9 +31,9 @@ def base_config(**overrides):
 class TestParseConfig:
     def test_minimal_roundtrip(self):
         cfg = parse_config(base_config())
-        assert cfg.n_experts == 2 and cfg.horizon == 5
+        assert cfg.learner.n_experts == 2 and cfg.horizon == 5
         assert isinstance(cfg.loss_process, IIDLosses)
-        assert cfg.learner.gamma_value == 1.0
+        assert cfg.learner.gamma == 1.0
         assert cfg.seed == 3 and cfg.runs == 2
 
     def test_fixed_share_kernel(self):
@@ -191,6 +191,35 @@ class TestDiagnostics:
             parse_config(raw)
         assert info.value.path == "sweep.horizons[1]"
         assert str(info.value) == f"sweep.horizons[1]: {message}"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"kernel": {"type": "custom", "classes": [{"expert": 1}, {"expert": 2}],
+                            "prior": [0.5, 0.5], "transitions": [[1.0, 0.0], [1.0]]}},
+                "kernel.transitions[1]: has 1 entries, row 0 has 2",
+            ),
+            (
+                {"loss": {"kind": "scripted", "range": [0, 1],
+                          "values": [[0.1, 0.2]] * 4 + [[0.1, 0.2, 0.3]]}},
+                "loss.values[4]: has 3 entries, row 0 has 2",
+            ),
+            (
+                {"feedback": {"kind": "constant", "matrix": [[1.0, 0.0], [1.0]]}},
+                "feedback.matrix[1]: has 1 entries, row 0 has 2",
+            ),
+            (
+                {"feedback": {"kind": "scripted",
+                              "matrices": [[[1.0, 0.0], [0.0, 1.0]]] * 4 + [[[1.0, 0.0], []]]}},
+                "feedback.matrices[4][1]: has 0 entries, row 0 has 2",
+            ),
+        ],
+    )
+    def test_ragged_matrix_rejected(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(base_config(**overrides))
+        assert str(info.value) == message
 
     def test_boolean_epsilon_rejected(self):
         with pytest.raises(ConfigError, match="epsilon: expected a number, got True"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from partialmix.learner import LearnerConfig
 
 
 def bandit_config(m, w=2.0, **kwargs):
-    return LearnerConfig(n_experts=m, kernel=fixed_kernel(m), w_budget=w, **kwargs)
+    return LearnerConfig(kernel=fixed_kernel(m), w_budget=w, **kwargs)
 
 
 class TestLossProcesses:
@@ -68,6 +69,34 @@ class TestLossProcesses:
         # designed favorite sits one gap below the others in the mean
         assert first[:, 0].mean() == pytest.approx(first[:, 1].mean() - 0.5, abs=0.05)
         assert second[:, 2].mean() == pytest.approx(second[:, 0].mean() - 0.5, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda r: ScriptedLosses(np.array([[1.0, 1.5]]), r),
+            lambda r: IIDLosses([BernoulliArm(0.5)], r),
+            lambda r: PiecewiseLosses(2, r, [0], []),
+        ],
+    )
+    @pytest.mark.parametrize("loss_range", [(1.0, 1.0), (2, 1)])
+    def test_range_needs_low_below_high(self, make, loss_range):
+        low, high = float(loss_range[0]), float(loss_range[1])
+        message = f"loss range [{low}, {high}] must have low < high"
+        with pytest.raises(EnvironmentError_, match=re.escape(message)):
+            make(loss_range)
+
+    def test_size_and_range_are_attributes(self):
+        processes = [
+            ScriptedLosses(np.full((2, 3), 0.5), (0, 1)),
+            IIDLosses([BernoulliArm(0.5)] * 3, (0, 1)),
+            PiecewiseLosses(3, (0, 1), [0], []),
+        ]
+        for process in processes:
+            assert process.n_experts == 3
+            assert process.loss_range == (0.0, 1.0)
+            assert all(type(v) is float for v in process.loss_range)
+        assert ConstantFeedback(identity_feedback(3)).n_experts == 3
+        assert ScriptedFeedback([identity_feedback(3)] * 2).n_experts == 3
 
     def test_piecewise_default_gap(self):
         process = PiecewiseLosses(2, (0.0, 10.0), [0, 1], [0.5])

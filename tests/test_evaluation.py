@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from partialmix import evaluation
 from partialmix.classnet import CompetitorSequence, TableKernel, fixed_kernel
 from partialmix.environment import (
     CompetitorSpec,
@@ -29,7 +30,7 @@ from partialmix.learner import LearnerConfig, epsilon_schedule
 def forced_arm_config():
     """Prior mass all on arm 0 and no mixing: the learner always plays 0."""
     kernel = TableKernel(np.arange(2), np.array([1.0, 0.0]), np.eye(2), 2)
-    return LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.0)
+    return LearnerConfig(kernel=kernel, gamma=1.0, epsilon=0.0)
 
 
 class TestRealizedRegret:
@@ -56,7 +57,7 @@ class TestRealizedRegret:
         # fixed-share kernel keeps the learner's own switching path in support
         from partialmix.classnet import fixed_share_kernel
 
-        config = LearnerConfig(n_experts=3, kernel=fixed_share_kernel(3, 0.1), w_budget=160.0)
+        config = LearnerConfig(kernel=fixed_share_kernel(3, 0.1), w_budget=160.0)
         rng = np.random.default_rng(1)
         values = rng.uniform(size=(50, 3))
         transcript = run_game(
@@ -67,7 +68,7 @@ class TestRealizedRegret:
         assert report.realized_regret == pytest.approx(0.0, abs=1e-9)
 
     def test_regret_decomposes_per_round(self):
-        config = LearnerConfig(n_experts=3, kernel=fixed_kernel(3), w_budget=2.3)
+        config = LearnerConfig(kernel=fixed_kernel(3), w_budget=2.3)
         rng = np.random.default_rng(2)
         values = rng.uniform(size=(80, 3))
         transcript = run_game(
@@ -83,7 +84,7 @@ class TestRealizedRegret:
         assert report.realized_regret == pytest.approx(per_round.sum(), abs=1e-9)
 
     def test_budget_exceeded_flagged(self):
-        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=0.5)
+        config = LearnerConfig(kernel=fixed_kernel(2), w_budget=0.5)
         values = np.random.default_rng(3).uniform(size=(20, 2))
         transcript = run_game(
             config, ScriptedLosses(values, (0.0, 1.0)), bandit_feedback(2), 20, seed=3
@@ -99,7 +100,7 @@ class TestRealizedRegret:
     def test_budget_lapse_warning_shows_the_gap(self):
         # 2 log 2 and 1.386 agree to 4 significant digits; the warning must
         # still tell them apart
-        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.386)
+        config = LearnerConfig(kernel=fixed_kernel(2), w_budget=1.386)
         values = np.random.default_rng(3).uniform(size=(20, 2))
         transcript = run_game(
             config, ScriptedLosses(values, (0.0, 1.0)), bandit_feedback(2), 20, seed=3
@@ -115,7 +116,7 @@ class TestRealizedRegret:
             realized_regret(transcript, competitor, with_diagnostics=False)
 
     def test_length_mismatch(self):
-        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.0)
+        config = LearnerConfig(kernel=fixed_kernel(2), w_budget=1.0)
         values = np.random.default_rng(4).uniform(size=(10, 2))
         transcript = run_game(
             config, ScriptedLosses(values, (0.0, 1.0)), bandit_feedback(2), 10, seed=4
@@ -171,7 +172,7 @@ class TestTheoreticalBound:
 
 class TestCheckLemmas:
     def test_all_zero_estimates_pass_trivially(self):
-        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.0)
+        config = LearnerConfig(kernel=fixed_kernel(2), w_budget=1.0)
         values = np.full((30, 2), 0.7)
         transcript = run_game(
             config, ScriptedLosses(values, (0.0, 1.0)), bandit_feedback(2), 30, seed=6
@@ -184,7 +185,7 @@ class TestCheckLemmas:
         assert diagnostics["variance_sum"].lhs == 0.0
 
     def test_real_run_passes(self):
-        config = LearnerConfig(n_experts=4, kernel=fixed_kernel(4), w_budget=3.0)
+        config = LearnerConfig(kernel=fixed_kernel(4), w_budget=3.0)
         rng = np.random.default_rng(7)
         values = rng.uniform(size=(400, 4))
         transcript = run_game(
@@ -196,7 +197,7 @@ class TestCheckLemmas:
         assert check_lemmas(transcript, competitor).all_passed
 
     def test_corrupted_rate_fails_rate_drop(self):
-        config = LearnerConfig(n_experts=3, kernel=fixed_kernel(3), w_budget=2.0)
+        config = LearnerConfig(kernel=fixed_kernel(3), w_budget=2.0)
         rng = np.random.default_rng(8)
         values = rng.uniform(size=(200, 3))
         transcript = run_game(
@@ -227,7 +228,7 @@ class TestCheckLemmas:
             path.append(int(np.argmax(kernel.matrix[path[-1]])))
         competitor = CompetitorSequence(path, kernel)
         config = LearnerConfig(
-            n_experts=3, kernel=kernel, w_budget=complexity(kernel, competitor)
+            kernel=kernel, w_budget=complexity(kernel, competitor)
         )
         values = rng.uniform(size=(horizon, 3))
         transcript = run_game(
@@ -239,7 +240,7 @@ class TestCheckLemmas:
     def test_unset_rates_count_as_ratio_one(self):
         # equal losses keep every estimate at zero, so the rate never sets
         # and the rate_drop sum stays exactly zero
-        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.0)
+        config = LearnerConfig(kernel=fixed_kernel(2), w_budget=1.0)
         values = np.full((10, 2), 0.2)
         transcript = run_game(
             config, ScriptedLosses(values, (0.0, 1.0)), bandit_feedback(2), 10, seed=9
@@ -257,7 +258,7 @@ class TestCheckLemmas:
         # one expert always loses 0, the rest 1, everything revealed: the
         # estimate regret climbs to about 0.3 of the tracking bound, so the
         # check fails here if its bound side shrinks by a factor 0.25
-        config = LearnerConfig(n_experts=m, kernel=fixed_kernel(m), w_budget=1.0, epsilon=0.0)
+        config = LearnerConfig(kernel=fixed_kernel(m), w_budget=1.0, epsilon=0.0)
         values = np.ones((30, m))
         values[:, -1] = 0.0
         transcript = run_game(
@@ -275,7 +276,7 @@ class TestCheckLemmas:
 class TestMonteCarlo:
     def bundle(self, values, competitor=None, **kwargs):
         config = LearnerConfig(
-            n_experts=2, kernel=fixed_kernel(2), w_budget=math.log(4), **kwargs
+            kernel=fixed_kernel(2), w_budget=math.log(4), **kwargs
         )
         return ExperimentBundle(
             learner_config=config,
@@ -308,6 +309,36 @@ class TestMonteCarlo:
         assert seq == par
         again, _ = monte_carlo(bundle, 6, base_seed=17, n_workers=1)
         assert seq == again
+
+
+    @pytest.mark.parametrize("n_workers, n_seeds, pools", [(64, 2, [2]), (2, 5, [2]), (3, 1, [])])
+    def test_starts_at_most_one_worker_per_seed(self, monkeypatch, n_workers, n_seeds, pools):
+        # a recorder stands in for the process pool, so no process starts
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Recorder)
+        bundle = self.bundle(np.random.default_rng(12).uniform(size=(10, 2)))
+        _, results = monte_carlo(bundle, n_seeds, base_seed=5, n_workers=n_workers)
+        assert started == pools
+        assert results == monte_carlo(bundle, n_seeds, base_seed=5)[1]
+
+    def test_needs_a_worker(self):
+        bundle = self.bundle(np.full((5, 2), 0.5))
+        with pytest.raises(ValueError, match="at least one worker"):
+            monte_carlo(bundle, 2, n_workers=0)
 
 
 class TestFitScaling:

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from partialmix import learner
 from partialmix.classnet import TableKernel, fixed_kernel, fixed_share_kernel
+from partialmix.environment import ScriptedLosses, full_feedback_process, run_game
 from partialmix.feedback import FeedbackMatrix, full_feedback, identity_feedback
 from partialmix.learner import (
     LearnerConfig,
@@ -20,7 +23,7 @@ from partialmix.learner import (
 
 
 def bandit_config(m=2, w=1.0, **kwargs):
-    return LearnerConfig(n_experts=m, kernel=fixed_kernel(m), w_budget=w, **kwargs)
+    return LearnerConfig(kernel=fixed_kernel(m), w_budget=w, **kwargs)
 
 
 def play(config, matrix, losses, seed=0):
@@ -55,19 +58,19 @@ class TestEpsilonSchedule:
 class TestPolicy:
     def test_full_mixing_is_uniform(self):
         kernel = TableKernel(np.arange(2), np.array([0.9, 0.1]), np.eye(2), 2)
-        config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=1.0)
+        config = LearnerConfig(kernel=kernel, gamma=1.0, epsilon=1.0)
         q = prepare_round(init_state(config), config, identity_feedback(2)).q
         np.testing.assert_allclose(q, [0.5, 0.5])
 
     def test_no_mixing_returns_marginals(self):
         kernel = TableKernel(np.arange(2), np.array([0.9, 0.1]), np.eye(2), 2)
-        config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.0)
+        config = LearnerConfig(kernel=kernel, gamma=1.0, epsilon=0.0)
         q = prepare_round(init_state(config), config, identity_feedback(2)).q
         np.testing.assert_allclose(q, [0.9, 0.1], rtol=1e-12)
 
     def test_hand_mixture(self):
         kernel = TableKernel(np.arange(2), np.array([0.9, 0.1]), np.eye(2), 2)
-        config = LearnerConfig(n_experts=2, kernel=kernel, gamma=1.0, epsilon=0.5)
+        config = LearnerConfig(kernel=kernel, gamma=1.0, epsilon=0.5)
         q = prepare_round(init_state(config), config, identity_feedback(2)).q
         np.testing.assert_allclose(q, [0.7, 0.3], rtol=1e-12)
 
@@ -178,7 +181,7 @@ class TestStep:
 
     def test_monotone_state_invariants(self):
         rng = np.random.default_rng(4)
-        config = LearnerConfig(n_experts=3, kernel=fixed_share_kernel(3, 0.05), w_budget=8.0)
+        config = LearnerConfig(kernel=fixed_share_kernel(3, 0.05), w_budget=8.0)
         matrix = FeedbackMatrix(np.vstack([rng.dirichlet(np.ones(3)) for _ in range(3)]))
         losses = rng.uniform(size=(300, 3))
         rounds, _ = play(config, matrix, losses, seed=11)
@@ -240,7 +243,7 @@ class TestStep:
         # an unvalidated deficient scheme trips the runtime floor check
         matrix = FeedbackMatrix(np.array([[0.1, 0.0], [0.0, 0.1]]), "strict")
         config = bandit_config(2, w=1.0)
-        with pytest.raises(RuntimeError, match="floor"):
+        with pytest.raises(RuntimeError, match=r"^observation probability 0\.05 fell below the floor"):
             play(config, matrix, np.full((3, 2), 0.5))
 
     @pytest.mark.parametrize(
@@ -253,8 +256,29 @@ class TestStep:
     )
     def test_nan_observation_probability_trips_the_floor_check(self, entries):
         config = bandit_config(2, w=1.0)
-        with pytest.raises(RuntimeError, match="floor"):
+        message = r"^observation probability [01] is NaN at round 1, so the floor 0\.5 cannot hold"
+        with pytest.raises(RuntimeError, match=message):
             prepare_round(init_state(config), config, FeedbackMatrix(np.array(entries), "strict"))
+
+    def test_advance_sees_one_rate_pair_per_round(self, monkeypatch):
+        # round 1's equal losses leave every estimate at zero, so the rate
+        # stays unset; rounds 2 and 3 are informative
+        recorded = []
+        original = learner.advance
+
+        def record(log_w, phi, eta_prev, eta_new, kernel):
+            recorded.append((eta_prev, eta_new))
+            return original(log_w, phi, eta_prev, eta_new, kernel)
+
+        monkeypatch.setattr(learner, "advance", record)
+        values = np.array([[0.5, 0.5], [0.2, 0.7], [0.9, 0.1]])
+        transcript = run_game(
+            bandit_config(2, w=4.0), ScriptedLosses(values, (0.0, 1.0)),
+            full_feedback_process(2), 3, seed=0,
+        )
+        eta = transcript.eta
+        assert np.isnan(eta[0]) and eta[1] > eta[2] > 0.0
+        assert recorded == [(1.0, 1.0), (eta[1], eta[1]), (eta[1], eta[2])]
 
     def test_full_feedback_fixed_eta_matches_exponential_weights(self):
         # with everything revealed, o = 1 and the identity-kernel marginals
@@ -263,7 +287,7 @@ class TestStep:
         rng = np.random.default_rng(16)
         m, horizon, eta = 3, 40, 0.7
         config = LearnerConfig(
-            n_experts=m, kernel=fixed_kernel(m), gamma=1.0, epsilon=0.0, fixed_eta=eta
+            kernel=fixed_kernel(m), gamma=1.0, epsilon=0.0, fixed_eta=eta
         )
         losses = rng.uniform(size=(horizon, m))
         rounds, state = play(config, full_feedback(m), losses, seed=17)
@@ -293,21 +317,32 @@ class TestStep:
 
 class TestLearnerConfig:
     def test_gamma_defaults_to_sqrt_budget(self):
-        assert bandit_config(2, w=9.0).gamma_value == 3.0
+        assert bandit_config(2, w=9.0).gamma == 3.0
+        assert bandit_config(2, w=9.0, gamma=0.5).gamma == 0.5
+
+    def test_expert_count_comes_from_the_kernel(self):
+        assert LearnerConfig(kernel=fixed_kernel(3), w_budget=1.0).n_experts == 3
+        init = [f.name for f in dataclasses.fields(LearnerConfig) if f.init]
+        assert init == ["kernel", "w_budget", "gamma", "epsilon", "fixed_eta"]
+        # a stated count is only checked against the kernel, never stored
+        config = LearnerConfig(n_experts=2.0, kernel=fixed_kernel(2), w_budget=1.0)
+        assert type(config.n_experts) is int and config.n_experts == 2
+        with pytest.raises(ValueError, match="kernel covers 1 experts, config says True"):
+            LearnerConfig(n_experts=True, kernel=fixed_kernel(1), w_budget=1.0)
 
     def test_requires_budget_or_gamma(self):
         with pytest.raises(ValueError):
-            LearnerConfig(n_experts=2, kernel=fixed_kernel(2))
+            LearnerConfig(kernel=fixed_kernel(2))
 
     def test_schedule_override_must_be_nonincreasing(self):
         with pytest.raises(ValueError, match="non-increasing"):
             LearnerConfig(
-                n_experts=2, kernel=fixed_kernel(2), gamma=1.0, epsilon=[0.2, 0.5]
+                kernel=fixed_kernel(2), gamma=1.0, epsilon=[0.2, 0.5]
             )
 
     def test_schedule_override_lookup(self):
         config = LearnerConfig(
-            n_experts=2, kernel=fixed_kernel(2), gamma=1.0, epsilon=[0.8, 0.4, 0.2]
+            kernel=fixed_kernel(2), gamma=1.0, epsilon=[0.8, 0.4, 0.2]
         )
         assert config.epsilon_at(2) == 0.4
         with pytest.raises(ValueError):
@@ -341,16 +376,16 @@ class TestLearnerConfig:
         ],
     )
     def test_booleans_and_non_finite_values_rejected(self, kwargs):
-        params = {"n_experts": 2, "kernel": fixed_kernel(2), "gamma": 1.0, "w_budget": 1.0}
+        params = {"kernel": fixed_kernel(2), "gamma": 1.0, "w_budget": 1.0}
         with pytest.raises(ValueError):
             LearnerConfig(**{**params, **kwargs})
 
     def test_numbers_are_stored_as_floats(self):
         config = LearnerConfig(
-            n_experts=2, kernel=fixed_kernel(2), w_budget=2, gamma=np.float32(0.5),
+            kernel=fixed_kernel(2), w_budget=2, gamma=np.float32(0.5),
             fixed_eta=3, epsilon=np.array([1, 0.5]),
         )
         assert (config.w_budget, config.gamma, config.fixed_eta) == (2.0, 0.5, 3.0)
         assert all(type(v) is float for v in (config.w_budget, config.gamma, config.fixed_eta))
         assert config.epsilon == (1.0, 0.5)
-        assert LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1, epsilon=1).epsilon == 1.0
+        assert LearnerConfig(kernel=fixed_kernel(2), w_budget=1, epsilon=1).epsilon == 1.0

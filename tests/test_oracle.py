@@ -7,7 +7,6 @@ from partialmix.classnet import advance, expert_marginals, fixed_kernel, init_we
 from partialmix.environment import bandit_feedback, full_feedback_process
 from partialmix.learner import LearnerConfig
 from partialmix.oracle import (
-    EnumerationLimit,
     OutcomeExplosionError,
     PathExplosionError,
     enumerate_weights,
@@ -51,14 +50,12 @@ class TestEnumerateWeights:
     def test_path_explosion_guard(self):
         kernel = fixed_kernel(3)
         with pytest.raises(PathExplosionError):
-            enumerate_weights(
-                kernel, np.zeros((6, 3)), 1.0, EnumerationLimit(max_paths=100)
-            )
+            enumerate_weights(kernel, np.zeros((6, 3)), 1.0, max_paths=100)
 
 
 class TestExactExpectedRegret:
     def test_equal_losses_give_zero(self):
-        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.0)
+        config = LearnerConfig(kernel=fixed_kernel(2), w_budget=1.0)
         losses = np.full((2, 2), 0.4)
         value = exact_expected_regret(config, losses, bandit_feedback(2), [0, 1])
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -67,7 +64,7 @@ class TestExactExpectedRegret:
         # epsilon 1 forces q = (1/2, 1/2); losses (0, 1), competitor arm 0:
         # E[R] = 0.5
         config = LearnerConfig(
-            n_experts=2, kernel=fixed_kernel(2), gamma=1.0, epsilon=1.0
+            kernel=fixed_kernel(2), gamma=1.0, epsilon=1.0
         )
         losses = np.array([[0.0, 1.0]])
         value = exact_expected_regret(config, losses, bandit_feedback(2), [0])
@@ -77,7 +74,7 @@ class TestExactExpectedRegret:
         # with full feedback the indicator tree is deterministic, so the
         # expectation reduces to summing over selection pairs
         config = LearnerConfig(
-            n_experts=2, kernel=fixed_kernel(2), gamma=1.0, epsilon=0.5
+            kernel=fixed_kernel(2), gamma=1.0, epsilon=0.5
         )
         losses = np.array([[0.2, 0.9], [0.1, 0.8]])
         from partialmix.learner import finish_round, init_state, prepare_round
@@ -99,13 +96,13 @@ class TestExactExpectedRegret:
 
     def test_probabilities_sum_to_one_without_competitor_loss(self):
         # competitor equal to the pointwise argmin gives regret >= 0
-        config = LearnerConfig(n_experts=2, kernel=fixed_kernel(2), w_budget=1.0)
+        config = LearnerConfig(kernel=fixed_kernel(2), w_budget=1.0)
         losses = np.array([[0.3, 0.6], [0.8, 0.2]])
         value = exact_expected_regret(config, losses, bandit_feedback(2), [0, 1])
         assert value >= 0.0
 
     def test_outcome_explosion_guard(self):
-        config = LearnerConfig(n_experts=3, kernel=fixed_kernel(3), w_budget=1.0)
+        config = LearnerConfig(kernel=fixed_kernel(3), w_budget=1.0)
         losses = np.random.default_rng(1).uniform(size=(3, 3))
         with pytest.raises(OutcomeExplosionError):
             exact_expected_regret(
@@ -113,5 +110,5 @@ class TestExactExpectedRegret:
                 losses,
                 bandit_feedback(3),
                 [0, 0, 0],
-                EnumerationLimit(max_outcomes=10),
+                max_outcomes=10,
             )

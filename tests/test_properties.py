@@ -94,7 +94,7 @@ def test_prefix_inequalities_hold(data, kernel, horizon, feedback, slack, seed):
     m = kernel.n_experts
     competitor = CompetitorSequence(data.draw(class_paths(kernel, horizon)), kernel)
     config = LearnerConfig(
-        n_experts=m, kernel=kernel, w_budget=complexity(kernel, competitor) + slack
+        kernel=kernel, w_budget=complexity(kernel, competitor) + slack
     )
     if feedback == "bandit":
         process = bandit_feedback(m)
