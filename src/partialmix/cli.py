@@ -13,6 +13,7 @@ digits, so identical configs and seeds reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,17 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .environment import GameTranscript, resolve_competitor, run_game
+from .environment import GameTranscript
 from .evaluation import (
     BatchSummary,
     DegenerateFitError,
-    ExperimentBundle,
     RegretReport,
     RunResult,
     fit_scaling,
     monte_carlo,
     play_and_score,
-    realized_regret,
     summarize_runs,
 )
 from .validation import run_validation_suite
@@ -123,16 +122,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _bundle(cfg: ExperimentConfig, horizon: int | None = None) -> ExperimentBundle:
-    return ExperimentBundle(
-        learner_config=cfg.learner,
-        loss_process=cfg.loss_process,
-        feedback_process=cfg.feedback_process,
-        horizon=cfg.horizon if horizon is None else horizon,
-        competitor=cfg.competitor,
-    )
-
-
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
     out = Path(args.out) if args.out else Path(cfg.out) if cfg.out else Path("out")
     out.mkdir(parents=True, exist_ok=True)
@@ -141,11 +130,9 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
 
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    transcript = run_game(
-        cfg.learner, cfg.loss_process, cfg.feedback_process, cfg.horizon, cfg.seed
+    transcript, competitor, report, _ = play_and_score(
+        cfg.experiment, cfg.seed, with_diagnostics=True
     )
-    competitor = resolve_competitor(cfg.competitor, transcript.losses, cfg.learner.kernel)
-    report = realized_regret(transcript, competitor)
     write_rounds_csv(out / "rounds.csv", transcript, competitor, run_index=0)
     _write_json(out / "report.json", _report_json(report, cfg.seed))
     print(
@@ -157,17 +144,17 @@ def _cmd_run(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_batch(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    bundle = _bundle(cfg)
+    bundle = cfg.experiment
     if cfg.write_rounds:
         results: list[RunResult] = []
         for i in range(cfg.runs):
-            transcript, competitor, result = play_and_score(bundle, cfg.seed + i)
+            transcript, competitor, _, result = play_and_score(bundle, cfg.seed + i)
             write_rounds_csv(out / f"run_{i:04d}.csv", transcript, competitor, run_index=i)
             results.append(result)
         summary = summarize_runs(bundle, results)
     else:
         summary, _ = monte_carlo(bundle, cfg.runs, base_seed=cfg.seed, n_workers=args.threads)
-    _write_json(out / "batch.json", _summary_json(summary, cfg.seed, cfg.horizon))
+    _write_json(out / "batch.json", _summary_json(summary, cfg.seed, bundle.horizon))
     print(
         f"batch: {summary.n_seeds} seeds, mean regret {summary.mean_regret:.6g} "
         f"(se {summary.std_error:.3g}), bound {summary.bound.theorem:.6g}"
@@ -179,12 +166,11 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     if not cfg.sweep_horizons:
         raise ConfigError("sweep", "the sweep subcommand needs a sweep.horizons list")
     out = _out_dir(cfg, args)
-    runs = cfg.sweep_runs or cfg.runs
+    runs = args.runs or cfg.sweep_runs or cfg.runs
     rows = []
     for horizon in cfg.sweep_horizons:
-        summary, _ = monte_carlo(
-            _bundle(cfg, horizon), runs, base_seed=cfg.seed, n_workers=args.threads
-        )
+        bundle = dataclasses.replace(cfg.experiment, horizon=horizon)
+        summary, _ = monte_carlo(bundle, runs, base_seed=cfg.seed, n_workers=args.threads)
         rows.append((horizon, summary))
         print(
             f"sweep: T {horizon}, mean regret {summary.mean_regret:.6g} "

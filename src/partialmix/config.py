@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .environment import (
     bandit_feedback,
     full_feedback_process,
 )
+from .evaluation import ExperimentBundle
 from .learner import LearnerConfig
 
 
@@ -46,6 +47,13 @@ def _require(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(path, f"missing required field {key!r}")
     return d[key]
+
+
+def _reject_unknown(spec: dict, path: str, what: str, *known: str) -> None:
+    """Reject a key that ``what`` does not read, at the key's own path."""
+    for key in spec:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, f"unknown {what} option")
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -103,18 +111,22 @@ def parse_kernel(spec, n_experts: int, path: str = "kernel") -> TableKernel:
     spec = _as_object(spec, path)
     kind = _require(spec, "type", path)
     if kind == "fixed":
+        _reject_unknown(spec, path, "'fixed' kernel", "type")
         return fixed_kernel(n_experts)
     if kind == "fixed_share":
+        _reject_unknown(spec, path, "'fixed_share' kernel", "type", "alpha")
         alpha = _as_float(_require(spec, "alpha", path), f"{path}.alpha")
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"{path}.alpha", f"must be in [0, 1], got {alpha}")
         return fixed_share_kernel(n_experts, alpha)
     if kind == "custom":
+        _reject_unknown(spec, path, "'custom' kernel", "type", "classes", "prior", "transitions")
         raw_classes = _as_list(_require(spec, "classes", path), f"{path}.classes")
         # a tag only labels a class: it tells apart classes of one expert
         labels = []
         for i, c in enumerate(raw_classes):
             c = _as_object(c, f"{path}.classes[{i}]")
+            _reject_unknown(c, f"{path}.classes[{i}]", "kernel class", "expert", "tag")
             expert = _expert_index(
                 _require(c, "expert", f"{path}.classes[{i}]"),
                 f"{path}.classes[{i}].expert",
@@ -153,7 +165,10 @@ def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
         raise ConfigError(f"{path}.range", f"low {low} must be below high {high}")
     try:
         if kind == "scripted":
-            if "csv" in spec:
+            # the losses come from a CSV file or inline, never both
+            source = "csv" if "csv" in spec else "values"
+            _reject_unknown(spec, path, "'scripted' loss", "kind", "range", source)
+            if source == "csv":
                 values = _load_loss_csv(spec["csv"], f"{path}.csv")
             else:
                 values = _as_matrix(_require(spec, "values", path), f"{path}.values")
@@ -163,6 +178,7 @@ def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
                 )
             return ScriptedLosses(values, (low, high))
         if kind == "iid":
+            _reject_unknown(spec, path, "'iid' loss", "kind", "range", "arms")
             raw_arms = _as_list(_require(spec, "arms", path), f"{path}.arms")
             if len(raw_arms) != n_experts:
                 raise ConfigError(f"{path}.arms", f"need {n_experts} arms, got {len(raw_arms)}")
@@ -171,6 +187,7 @@ def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
                 a = _as_object(a, f"{path}.arms[{i}]")
                 dist = _require(a, "dist", f"{path}.arms[{i}]")
                 if dist == "uniform":
+                    _reject_unknown(a, f"{path}.arms[{i}]", "'uniform' arm", "dist", "low", "high")
                     arms.append(
                         UniformArm(
                             _as_float(_require(a, "low", f"{path}.arms[{i}]"), f"{path}.arms[{i}].low"),
@@ -178,6 +195,7 @@ def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
                         )
                     )
                 elif dist == "bernoulli":
+                    _reject_unknown(a, f"{path}.arms[{i}]", "'bernoulli' arm", "dist", "p")
                     arms.append(
                         BernoulliArm(_as_float(_require(a, "p", f"{path}.arms[{i}]"), f"{path}.arms[{i}].p"))
                     )
@@ -185,6 +203,9 @@ def parse_loss_process(spec, n_experts: int, path: str = "loss") -> LossProcess:
                     raise ConfigError(f"{path}.arms[{i}].dist", f"unknown distribution {dist!r}")
             return IIDLosses(arms, (low, high))
         if kind == "piecewise":
+            _reject_unknown(
+                spec, path, "'piecewise' loss", "kind", "range", "best_arms", "boundaries", "gap"
+            )
             best = [
                 _expert_index(a, f"{path}.best_arms[{i}]", n_experts)
                 for i, a in enumerate(_as_list(_require(spec, "best_arms", path), f"{path}.best_arms"))
@@ -212,15 +233,17 @@ def _load_loss_csv(path_value, path: str) -> np.ndarray:
         raise ConfigError(path, f"cannot read loss CSV: {exc}") from exc
     if not rows:
         raise ConfigError(path, "loss CSV is empty")
-    return np.array(rows)
+    return _as_matrix(rows, path)
 
 
 def parse_feedback_process(spec, n_experts: int, path: str = "feedback") -> FeedbackProcess:
     spec = _as_object(spec, path)
     kind = _require(spec, "kind", path)
     if kind == "bandit":
+        _reject_unknown(spec, path, "'bandit' feedback", "kind")
         return bandit_feedback(n_experts)
     if kind == "full":
+        _reject_unknown(spec, path, "'full' feedback", "kind")
         return full_feedback_process(n_experts)
     mode = spec.get("mode", "strict")
     if mode not in ("strict", "full"):
@@ -239,8 +262,10 @@ def parse_feedback_process(spec, n_experts: int, path: str = "feedback") -> Feed
         return matrix
 
     if kind == "constant":
+        _reject_unknown(spec, path, "'constant' feedback", "kind", "mode", "matrix")
         return ConstantFeedback(build(_require(spec, "matrix", path), f"{path}.matrix"))
     if kind == "scripted":
+        _reject_unknown(spec, path, "'scripted' feedback", "kind", "mode", "matrices")
         raw = _as_list(_require(spec, "matrices", path), f"{path}.matrices")
         return ScriptedFeedback(
             [build(rows, f"{path}.matrices[{i}]") for i, rows in enumerate(raw)]
@@ -253,16 +278,20 @@ def parse_competitor(spec, n_experts: int, path: str = "competitor") -> Competit
     kind = _require(spec, "kind", path)
     try:
         if kind == "fixed":
+            _reject_unknown(spec, path, "'fixed' competitor", "kind", "expert")
             return CompetitorSpec(
                 "fixed", expert=_expert_index(_require(spec, "expert", path), f"{path}.expert", n_experts)
             )
         if kind == "best_fixed":
+            _reject_unknown(spec, path, "'best_fixed' competitor", "kind")
             return CompetitorSpec("best_fixed")
         if kind == "best_k_switch":
+            _reject_unknown(spec, path, "'best_k_switch' competitor", "kind", "switches")
             return CompetitorSpec(
                 "best_k_switch", switches=_as_int(_require(spec, "switches", path), f"{path}.switches", 0)
             )
         if kind == "explicit":
+            _reject_unknown(spec, path, "'explicit' competitor", "kind", "sequence")
             seq = tuple(
                 _expert_index(v, f"{path}.sequence[{i}]", n_experts)
                 for i, v in enumerate(_as_list(_require(spec, "sequence", path), f"{path}.sequence"))
@@ -290,38 +319,30 @@ def _parse_validate(spec) -> dict:
     """Checked options of the ``validate`` subcommand; absent keys keep the
     defaults of ``run_validation_suite``."""
     spec = _as_object(spec, "validate")
-    for key in spec:
-        if key not in VALIDATE_MINIMUMS:
-            raise ConfigError(f"validate.{key}", "unknown validate option")
+    _reject_unknown(spec, "validate", "validate", *VALIDATE_MINIMUMS)
     return {
         key: _as_int(value, f"validate.{key}", VALIDATE_MINIMUMS[key])
         for key, value in spec.items()
     }
 
 
-def _check_horizon(
-    horizon: int,
-    learner: LearnerConfig,
-    loss_process: LossProcess,
-    feedback_process: FeedbackProcess,
-    competitor: CompetitorSpec,
-) -> None:
-    """Every input bound to the horizon covers ``horizon`` rounds: an
+def _check_horizon(experiment: ExperimentBundle) -> None:
+    """Every input bound to the horizon covers the experiment's rounds: an
     epsilon schedule, scripted losses, scripted feedback and an explicit
     competitor (which must match it exactly)."""
-    if isinstance(learner.epsilon, tuple) and len(learner.epsilon) < horizon:
-        raise ConfigError(
-            "epsilon", f"schedule has {len(learner.epsilon)} entries, horizon is {horizon}"
-        )
-    if isinstance(loss_process, ScriptedLosses):
+    horizon, epsilon = experiment.horizon, experiment.learner_config.epsilon
+    if isinstance(epsilon, tuple) and len(epsilon) < horizon:
+        raise ConfigError("epsilon", f"schedule has {len(epsilon)} entries, horizon is {horizon}")
+    if isinstance(experiment.loss_process, ScriptedLosses):
         try:
-            loss_process.generate(horizon, np.random.default_rng(0))
+            experiment.loss_process.generate(horizon, np.random.default_rng(0))
         except ValueError as exc:
             raise ConfigError("loss", str(exc)) from exc
     try:
-        feedback_process.check_horizon(horizon)
+        experiment.feedback_process.check_horizon(horizon)
     except ValueError as exc:
         raise ConfigError("feedback", str(exc)) from exc
+    competitor = experiment.competitor
     if competitor.kind == "explicit" and len(competitor.sequence) != horizon:
         raise ConfigError(
             "competitor.sequence",
@@ -346,15 +367,18 @@ def _check_competitor_classes(competitor: CompetitorSpec, kernel: TableKernel) -
             )
 
 
+_CONFIG_KEYS = (
+    "experts", "horizon", "kernel", "w_budget", "gamma", "epsilon", "fixed_eta",
+    "loss", "feedback", "competitor", "seed", "runs", "out", "write_rounds",
+    "sweep", "validate",
+)
+
+
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Parsed experiment: learner, environment, competitor, seeds, output."""
+    """Parsed experiment (learner, environment, horizon, competitor), seeds, output."""
 
-    horizon: int
-    learner: LearnerConfig
-    loss_process: LossProcess
-    feedback_process: FeedbackProcess
-    competitor: CompetitorSpec
+    experiment: ExperimentBundle
     seed: int
     runs: int
     out: str | None
@@ -366,6 +390,7 @@ class ExperimentConfig:
 
 def parse_config(raw: dict) -> ExperimentConfig:
     raw = _as_object(raw, "config")
+    _reject_unknown(raw, "", "config", *_CONFIG_KEYS)
     n_experts = _as_int(_require(raw, "experts", "config"), "experts", 1)
     horizon = _as_int(_require(raw, "horizon", "config"), "horizon", 1)
     kernel = parse_kernel(_require(raw, "kernel", "config"), n_experts)
@@ -387,12 +412,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError("config", str(exc)) from exc
-    loss_process = parse_loss_process(_require(raw, "loss", "config"), n_experts)
-    feedback_process = parse_feedback_process(_require(raw, "feedback", "config"), n_experts)
-    competitor = parse_competitor(_require(raw, "competitor", "config"), n_experts)
-    _check_competitor_classes(competitor, kernel)
-    inputs = (learner, loss_process, feedback_process, competitor)
-    _check_horizon(horizon, *inputs)
+    experiment = ExperimentBundle(
+        learner_config=learner,
+        loss_process=parse_loss_process(_require(raw, "loss", "config"), n_experts),
+        feedback_process=parse_feedback_process(_require(raw, "feedback", "config"), n_experts),
+        horizon=horizon,
+        competitor=parse_competitor(_require(raw, "competitor", "config"), n_experts),
+    )
+    _check_competitor_classes(experiment.competitor, kernel)
+    _check_horizon(experiment)
     seed = _as_int(raw.get("seed", 0), "seed", 0)
     runs = _as_int(raw.get("runs", 1), "runs", 1)
     out = raw.get("out")
@@ -405,6 +433,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sweep_runs = None
     if "sweep" in raw:
         sweep = _as_object(raw["sweep"], "sweep")
+        _reject_unknown(sweep, "sweep", "sweep", "horizons", "runs")
         sweep_horizons = tuple(
             _as_int(h, f"sweep.horizons[{i}]", 1)
             for i, h in enumerate(_as_list(_require(sweep, "horizons", "sweep"), "sweep.horizons"))
@@ -413,18 +442,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("sweep.horizons", "needs at least one horizon")
         for i, h in enumerate(sweep_horizons):
             try:
-                _check_horizon(h, *inputs)
+                _check_horizon(replace(experiment, horizon=h))
             except ConfigError as exc:
                 raise ConfigError(f"sweep.horizons[{i}]", str(exc)) from exc
         if "runs" in sweep:
             sweep_runs = _as_int(sweep["runs"], "sweep.runs", 1)
     validate_options = _parse_validate(raw.get("validate", {}))
     return ExperimentConfig(
-        horizon=horizon,
-        learner=learner,
-        loss_process=loss_process,
-        feedback_process=feedback_process,
-        competitor=competitor,
+        experiment=experiment,
         seed=seed,
         runs=runs,
         out=out,

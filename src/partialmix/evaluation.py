@@ -309,10 +309,10 @@ class BatchSummary:
 
 
 def play_and_score(
-    bundle: ExperimentBundle, seed: int
-) -> tuple[GameTranscript, CompetitorSequence, RunResult]:
-    """Play one seeded game, resolve its competitor and score it without
-    diagnostics."""
+    bundle: ExperimentBundle, seed: int, with_diagnostics: bool = False
+) -> tuple[GameTranscript, CompetitorSequence, RegretReport, RunResult]:
+    """Play one seeded game, resolve its competitor and score it; the
+    inequality diagnostics are checked only when asked for."""
     transcript = run_game(
         bundle.learner_config,
         bundle.loss_process,
@@ -322,7 +322,7 @@ def play_and_score(
     )
     kernel = bundle.learner_config.kernel
     competitor = resolve_competitor(bundle.competitor, transcript.losses, kernel)
-    report = realized_regret(transcript, competitor, with_diagnostics=False)
+    report = realized_regret(transcript, competitor, with_diagnostics)
     result = RunResult(
         seed=seed,
         regret=report.realized_regret,
@@ -332,12 +332,12 @@ def play_and_score(
         complexity=report.complexity,
         n_switches=competitor.n_switches,
     )
-    return transcript, competitor, result
+    return transcript, competitor, report, result
 
 
 def _run_one(bundle: ExperimentBundle, seed: int) -> RunResult:
     # top level so that the process pool can pickle it
-    return play_and_score(bundle, seed)[2]
+    return play_and_score(bundle, seed)[3]
 
 
 def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchSummary:

@@ -9,7 +9,7 @@ the full-size sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,10 +31,8 @@ from .environment import (
     UniformArm,
     bandit_feedback,
     full_feedback_process,
-    resolve_competitor,
-    run_game,
 )
-from .evaluation import ExperimentBundle, check_lemmas, realized_regret
+from .evaluation import ExperimentBundle, play_and_score
 from .feedback import FeedbackMatrix
 from .learner import LearnerConfig
 from .oracle import enumerate_weights
@@ -93,9 +91,7 @@ def oracle_equivalence_suite(n_instances: int = 50, seed: int = 20240) -> CheckR
     )
 
 
-def random_experiment(
-    rng: np.random.Generator, horizon: int
-) -> tuple[ExperimentBundle, CompetitorSequence]:
+def random_experiment(rng: np.random.Generator, horizon: int) -> ExperimentBundle:
     """A random well-posed experiment whose competitor complexity equals the
     learner's budget, so every guarantee applies."""
     m = int(rng.integers(2, 9))
@@ -114,7 +110,6 @@ def random_experiment(
             experts.extend([arm] * (hi - lo))
             nxt = int(rng.integers(m - 1))
             arm = nxt if nxt < arm else nxt + 1
-    competitor = CompetitorSequence.from_experts(experts, kernel)
 
     pick = rng.random()
     if pick < 0.4:
@@ -131,16 +126,14 @@ def random_experiment(
         arms.append(UniformArm(lo, float(rng.uniform(lo, 1.0))))
     losses = IIDLosses(arms, (0.0, 1.0))
 
-    w_budget = complexity(kernel, competitor)
-    config = LearnerConfig(kernel=kernel, w_budget=w_budget)
-    bundle = ExperimentBundle(
-        learner_config=config,
+    w_budget = complexity(kernel, CompetitorSequence.from_experts(experts, kernel))
+    return ExperimentBundle(
+        learner_config=LearnerConfig(kernel=kernel, w_budget=w_budget),
         loss_process=losses,
         feedback_process=feedback,
         horizon=horizon,
         competitor=CompetitorSpec("explicit", sequence=tuple(experts)),
     )
-    return bundle, competitor
 
 
 def lemma_suite(
@@ -152,15 +145,9 @@ def lemma_suite(
     worst_slack = math.inf
     failures = 0
     for i in range(n_configs):
-        bundle, competitor = random_experiment(rng, horizon)
-        transcript = run_game(
-            bundle.learner_config,
-            bundle.loss_process,
-            bundle.feedback_process,
-            horizon,
-            seed=int(rng.integers(2**31)),
-        )
-        diagnostics = check_lemmas(transcript, competitor)
+        bundle = random_experiment(rng, horizon)
+        _, _, report, _ = play_and_score(bundle, int(rng.integers(2**31)), with_diagnostics=True)
+        diagnostics = report.diagnostics
         worst_slack = min(worst_slack, min(c.slack for c in diagnostics.checks))
         if not diagnostics.all_passed:
             failures += 1
@@ -192,20 +179,18 @@ def affine_pair(
     transform and compare behavior and regret."""
     gen_rng = np.random.default_rng(seed + 999)
     base = gen_rng.uniform(0.0, 1.0, size=(horizon, n_experts))
-    kernel = fixed_kernel(n_experts)
-    spec = CompetitorSpec("best_fixed")
-
-    def play(values: np.ndarray, low: float, high: float):
-        process = ScriptedLosses(values, (low, high))
-        # best_fixed under the fixed kernel costs exactly 2 log M
-        config = LearnerConfig(kernel=kernel, w_budget=2 * math.log(n_experts))
-        transcript = run_game(config, process, bandit_feedback(n_experts), horizon, seed)
-        competitor = resolve_competitor(spec, transcript.losses, kernel)
-        report = realized_regret(transcript, competitor, with_diagnostics=False)
-        return transcript, report
-
-    base_t, base_r = play(base, 0.0, 1.0)
-    scaled_t, scaled_r = play(scale * base + shift, shift, scale + shift)
+    # best_fixed under the fixed kernel costs exactly 2 log M
+    config = LearnerConfig(kernel=fixed_kernel(n_experts), w_budget=2 * math.log(n_experts))
+    bundle = ExperimentBundle(
+        learner_config=config,
+        loss_process=ScriptedLosses(base, (0.0, 1.0)),
+        feedback_process=bandit_feedback(n_experts),
+        horizon=horizon,
+        competitor=CompetitorSpec("best_fixed"),
+    )
+    scaled = ScriptedLosses(scale * base + shift, (shift, scale + shift))
+    base_t, _, base_r, _ = play_and_score(bundle, seed)
+    scaled_t, _, scaled_r, _ = play_and_score(replace(bundle, loss_process=scaled), seed)
 
     q_diff = float(np.max(np.abs(base_t.q - scaled_t.q)))
     selections_equal = bool(np.array_equal(base_t.selected, scaled_t.selected))

@@ -7,6 +7,9 @@ A rename or a call that no longer goes through a traced name would leave
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,10 +17,15 @@ import pytest
 
 from partialmix import environment
 from partialmix.classnet import fixed_share_kernel
-from partialmix.evaluation import ExperimentBundle, monte_carlo
+from partialmix.config import load_config
+from partialmix.evaluation import ExperimentBundle, monte_carlo, play_and_score
 from partialmix.learner import LearnerConfig
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "bench" / "tracer.py"
+WORKER_PATH = ROOT / "bench" / "worker.py"
+# the per-seed fields that bench/checks.py reads from the worker's capture
+CHECKED_FIELDS = ("seed", "regret", "learner_loss", "competitor_loss", "complexity", "n_switches")
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +105,54 @@ def test_traced_batch_counts_one_step_per_round(tracer_module):
     # bandit feedback reveals exactly the selected loss each round
     assert layers["feedback.revealed_losses"] == runs * horizon
     assert layers["environment.best_competitor_s"] > 0.0
+
+
+@pytest.mark.parametrize("write_rounds", [False, True])
+def test_worker_captures_every_batch_seed(tmp_path, write_rounds):
+    # the worker captures per-seed results where the CLI passes them to
+    # summarize_runs; a batch that bypasses that global fails the
+    # benchmark's correctness check
+    config = {
+        "experts": 3,
+        "horizon": 20,
+        "kernel": {"type": "fixed_share", "alpha": 0.05},
+        "w_budget": 12.0,
+        "loss": {
+            "kind": "piecewise", "range": [0.0, 1.0], "best_arms": [1, 2], "boundaries": [0.5],
+        },
+        "feedback": {"kind": "bandit"},
+        "competitor": {"kind": "best_k_switch", "switches": 1},
+        "seed": 11,
+        "write_rounds": write_rounds,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    spec = {
+        "root": str(ROOT),
+        "configs": [str(config_path)],
+        "commands": [
+            ["batch", "--config", str(config_path), "--out", str(tmp_path / "out"), "--runs", "2"]
+        ],
+        "artifacts": str(tmp_path / "artifacts"),
+        "trace": False,
+        "spans": str(tmp_path / "spans.tsv"),
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run(
+        [sys.executable, str(WORKER_PATH), str(spec_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [output["exit_code"] for output in result["outputs"]] == [0]
+    assert (tmp_path / "out" / "run_0001.csv").exists() == write_rounds
+    captured = result["batch_results"]
+    assert [r["seed"] for r in captured] == [11, 12]
+    experiment = load_config(config_path).experiment
+    for r in captured:
+        expected = play_and_score(experiment, r["seed"])[3]
+        for field in CHECKED_FIELDS:
+            assert r[field] == getattr(expected, field), field

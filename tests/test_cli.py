@@ -245,6 +245,29 @@ class TestSweep:
         path = write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
 
+    def test_runs_flag_overrides_sweep_runs(self, tmp_path):
+        path = write_config(tmp_path, sweep={"horizons": [5, 6], "runs": 3})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--runs", "2"]) == 0
+        assert json.loads((out / "sweep.json").read_text())["runs_per_horizon"] == 2
+
+    def test_each_horizon_matches_its_batch(self, tmp_path):
+        # a sweep row is the batch of the same config at that horizon
+        horizons = [20, 30]
+        path = write_config(tmp_path, sweep={"horizons": horizons, "runs": 3})
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+        rows = (tmp_path / "sweep" / "scaling.csv").read_text().splitlines()[1:]
+        for horizon, row in zip(horizons, rows, strict=True):
+            (tmp_path / str(horizon)).mkdir()
+            single = write_config(tmp_path / str(horizon), horizon=horizon, runs=3)
+            out = tmp_path / str(horizon) / "out"
+            assert main(["batch", "--config", str(single), "--out", str(out)]) == 0
+            summary = json.loads((out / "batch.json").read_text())
+            t, mean_regret, std_error = row.split(",")[:3]
+            assert int(t) == summary["horizon"] == horizon
+            assert float(mean_regret) == summary["mean_regret"]
+            assert float(std_error) == summary["std_error"]
+
 
 class TestValidate:
     def test_default_suite_passes(self, tmp_path, capsys):

@@ -31,14 +31,14 @@ def base_config(**overrides):
 class TestParseConfig:
     def test_minimal_roundtrip(self):
         cfg = parse_config(base_config())
-        assert cfg.learner.n_experts == 2 and cfg.horizon == 5
-        assert isinstance(cfg.loss_process, IIDLosses)
-        assert cfg.learner.gamma == 1.0
+        assert cfg.experiment.learner_config.n_experts == 2 and cfg.experiment.horizon == 5
+        assert isinstance(cfg.experiment.loss_process, IIDLosses)
+        assert cfg.experiment.learner_config.gamma == 1.0
         assert cfg.seed == 3 and cfg.runs == 2
 
     def test_fixed_share_kernel(self):
         cfg = parse_config(base_config(kernel={"type": "fixed_share", "alpha": 0.1}))
-        assert cfg.learner.kernel.matrix[0, 0] == pytest.approx(0.9)
+        assert cfg.experiment.learner_config.kernel.matrix[0, 0] == pytest.approx(0.9)
 
     def test_custom_kernel_one_based_experts(self):
         kernel_spec = {
@@ -48,7 +48,7 @@ class TestParseConfig:
             "transitions": [[0.6, 0.4], [0.5, 0.5]],
         }
         cfg = parse_config(base_config(kernel=kernel_spec))
-        np.testing.assert_array_equal(cfg.learner.kernel.experts, [0, 1])
+        np.testing.assert_array_equal(cfg.experiment.learner_config.kernel.experts, [0, 1])
 
     def test_scripted_losses_and_explicit_competitor(self):
         values = [[0.1, 0.9]] * 5
@@ -58,8 +58,8 @@ class TestParseConfig:
                 competitor={"kind": "explicit", "sequence": [1, 1, 2, 2, 1]},
             )
         )
-        assert isinstance(cfg.loss_process, ScriptedLosses)
-        assert cfg.competitor.sequence == (0, 0, 1, 1, 0)
+        assert isinstance(cfg.experiment.loss_process, ScriptedLosses)
+        assert cfg.experiment.competitor.sequence == (0, 0, 1, 1, 0)
 
     def test_piecewise_losses(self):
         cfg = parse_config(
@@ -70,17 +70,17 @@ class TestParseConfig:
                 }
             )
         )
-        assert isinstance(cfg.loss_process, PiecewiseLosses)
-        np.testing.assert_array_equal(cfg.loss_process.best_arm_path(4), [0, 0, 1, 1])
+        assert isinstance(cfg.experiment.loss_process, PiecewiseLosses)
+        np.testing.assert_array_equal(cfg.experiment.loss_process.best_arm_path(4), [0, 0, 1, 1])
 
     def test_scripted_feedback(self):
         matrices = [[[1.0, 0.0], [0.0, 1.0]]] * 5
         cfg = parse_config(base_config(feedback={"kind": "scripted", "matrices": matrices}))
-        cfg.feedback_process.check_horizon(5)
+        cfg.experiment.feedback_process.check_horizon(5)
 
     def test_epsilon_schedule_override(self):
         cfg = parse_config(base_config(epsilon=[1.0, 0.8, 0.6, 0.5, 0.5]))
-        assert cfg.learner.epsilon_at(3) == 0.6
+        assert cfg.experiment.learner_config.epsilon_at(3) == 0.6
 
     def test_sweep_block(self):
         cfg = parse_config(base_config(sweep={"horizons": [4, 5], "runs": 3}))
@@ -130,8 +130,16 @@ class TestDiagnostics:
         cfg = parse_config(
             base_config(loss={"kind": "scripted", "range": [0, 1], "csv": str(csv_path)})
         )
-        values = cfg.loss_process.generate(5, np.random.default_rng(0))
+        values = cfg.experiment.loss_process.generate(5, np.random.default_rng(0))
         assert values[0, 1] == 0.2
+
+    def test_ragged_loss_csv_rejected(self, tmp_path):
+        csv_path = tmp_path / "losses.csv"
+        csv_path.write_text("0.1,0.2\n0.3\n")
+        loss = {"kind": "scripted", "range": [0, 1], "csv": str(csv_path)}
+        with pytest.raises(ConfigError) as info:
+            parse_config(base_config(loss=loss))
+        assert str(info.value) == "loss.csv[1]: has 1 entries, row 0 has 2"
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -221,6 +229,88 @@ class TestDiagnostics:
             parse_config(base_config(**overrides))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seeds": 4}, "seeds: unknown config option"),
+            ({"runz": 2}, "runz: unknown config option"),
+            (
+                {"kernel": {"type": "fixed_share", "alpah": 0.1}},
+                "kernel.alpah: unknown 'fixed_share' kernel option",
+            ),
+            (
+                {"kernel": {"type": "fixed", "alpha": 0.1}},
+                "kernel.alpha: unknown 'fixed' kernel option",
+            ),
+            (
+                {"kernel": {"type": "custom", "classes": [{"expert": 1}, {"expert": 2, "tga": "b"}],
+                            "prior": [0.5, 0.5], "transitions": [[1, 0], [0, 1]]}},
+                "kernel.classes[1].tga: unknown kernel class option",
+            ),
+            (
+                {"loss": {"kind": "iid", "range": [0, 1], "arms": [
+                    {"dist": "uniform", "low": 0.0, "hgih": 0.5},
+                    {"dist": "bernoulli", "p": 0.4},
+                ]}},
+                "loss.arms[0].hgih: unknown 'uniform' arm option",
+            ),
+            (
+                {"loss": {"kind": "iid", "range": [0, 1], "arms": [
+                    {"dist": "uniform", "low": 0.0, "high": 0.5},
+                    {"dist": "bernoulli", "q": 0.4},
+                ]}},
+                "loss.arms[1].q: unknown 'bernoulli' arm option",
+            ),
+            (
+                {"loss": {"kind": "scripted", "range": [0, 1], "values": [[0.1, 0.2]] * 5,
+                          "csv": "losses.csv"}},
+                "loss.values: unknown 'scripted' loss option",
+            ),
+            (
+                {"loss": {"kind": "piecewise", "range": [0, 1], "best_arms": [1],
+                          "boundaries": [], "gapp": 0.1}},
+                "loss.gapp: unknown 'piecewise' loss option",
+            ),
+            (
+                {"feedback": {"kind": "bandit", "mode": "full"}},
+                "feedback.mode: unknown 'bandit' feedback option",
+            ),
+            (
+                {"feedback": {"kind": "full", "mode": "full"}},
+                "feedback.mode: unknown 'full' feedback option",
+            ),
+            (
+                {"feedback": {"kind": "constant", "matrices": [[[1, 0], [0, 1]]]}},
+                "feedback.matrices: unknown 'constant' feedback option",
+            ),
+            (
+                {"feedback": {"kind": "scripted", "matrix": [[1, 0], [0, 1]]}},
+                "feedback.matrix: unknown 'scripted' feedback option",
+            ),
+            (
+                {"competitor": {"kind": "best_fixed", "switches": 2}},
+                "competitor.switches: unknown 'best_fixed' competitor option",
+            ),
+            (
+                {"competitor": {"kind": "fixed", "expert": 1, "sequence": [1]}},
+                "competitor.sequence: unknown 'fixed' competitor option",
+            ),
+            (
+                {"competitor": {"kind": "best_k_switch", "switches": 1, "expert": 1}},
+                "competitor.expert: unknown 'best_k_switch' competitor option",
+            ),
+            (
+                {"competitor": {"kind": "explicit", "sequence": [1] * 5, "switches": 0}},
+                "competitor.switches: unknown 'explicit' competitor option",
+            ),
+            ({"sweep": {"horizons": [5], "rnus": 2}}, "sweep.rnus: unknown sweep option"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(base_config(**overrides))
+        assert str(info.value) == message
+
     def test_boolean_epsilon_rejected(self):
         with pytest.raises(ConfigError, match="epsilon: expected a number, got True"):
             parse_config(base_config(epsilon=True))
@@ -248,7 +338,7 @@ class TestKernelClasses:
             loss={"kind": "scripted", "range": [0, 1], "values": [[0.1] * 3] * 5},
             competitor={"kind": "explicit", "sequence": [3] * 5},
         ))
-        np.testing.assert_array_equal(cfg.learner.kernel.experts, [0, 0, 1, 1, 2])
+        np.testing.assert_array_equal(cfg.experiment.learner_config.kernel.experts, [0, 0, 1, 1, 2])
 
     @pytest.mark.parametrize(
         "classes, path",

@@ -18,6 +18,7 @@ from partialmix.evaluation import (
     DegenerateFitError,
     ExperimentBundle,
     LengthMismatchError,
+    RunResult,
     check_lemmas,
     fit_scaling,
     monte_carlo,
@@ -334,6 +335,30 @@ class TestMonteCarlo:
         _, results = monte_carlo(bundle, n_seeds, base_seed=5, n_workers=n_workers)
         assert started == pools
         assert results == monte_carlo(bundle, n_seeds, base_seed=5)[1]
+
+    @pytest.mark.parametrize("with_diagnostics", [False, True])
+    def test_play_and_score_composes_game_competitor_and_report(self, with_diagnostics):
+        values = np.random.default_rng(13).uniform(size=(20, 2))
+        bundle = self.bundle(values, CompetitorSpec("best_fixed"))
+        transcript, competitor, report, result = evaluation.play_and_score(
+            bundle, 9, with_diagnostics
+        )
+        config = bundle.learner_config
+        game = run_game(config, bundle.loss_process, bundle.feedback_process, bundle.horizon, 9)
+        np.testing.assert_array_equal(transcript.q, game.q)
+        best = resolve_competitor(bundle.competitor, game.losses, config.kernel)
+        np.testing.assert_array_equal(competitor.experts, best.experts)
+        assert report == realized_regret(game, best, with_diagnostics)
+        assert (report.diagnostics is not None) == with_diagnostics
+        assert result == RunResult(
+            seed=9,
+            regret=report.realized_regret,
+            normalized_regret=report.normalized_regret,
+            learner_loss=report.learner_loss,
+            competitor_loss=report.competitor_loss,
+            complexity=report.complexity,
+            n_switches=competitor.n_switches,
+        )
 
     def test_needs_a_worker(self):
         bundle = self.bundle(np.full((5, 2), 0.5))

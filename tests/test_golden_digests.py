@@ -106,14 +106,17 @@ def play_switching_prefix(path: str) -> None:
     """Save q and the selections of the switching-batch seed-1 games over
     their first SELECTION_ROUNDS rounds to ``path`` (an ``.npz`` file)."""
     workloads = load_workloads()
-    cfg = load_config(ROOT / workloads.SHIPPED_SWITCHING)
-    full = cfg.loss_process.generate
+    experiment = load_config(ROOT / workloads.SHIPPED_SWITCHING).experiment
+    losses = experiment.loss_process
+    full = losses.generate
     # the full-horizon game's losses, cut to the rounds played
-    cfg.loss_process.generate = lambda horizon, rng: full(cfg.horizon, rng)[:horizon]
+    losses.generate = lambda horizon, rng: full(experiment.horizon, rng)[:horizon]
     games = {}
     for i in range(workloads.SWITCHING_GAMES):
         seed = SEED * workloads.SWITCHING_GAMES + i
-        game = run_game(cfg.learner, cfg.loss_process, cfg.feedback_process, SELECTION_ROUNDS, seed)
+        game = run_game(
+            experiment.learner_config, losses, experiment.feedback_process, SELECTION_ROUNDS, seed
+        )
         games[f"q_{seed}"], games[f"selected_{seed}"] = game.q, game.selected
     np.savez(path, **games)
 
