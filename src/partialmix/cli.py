@@ -49,10 +49,10 @@ def write_rounds_csv(
          "competitor_arm", "competitor_loss", "regret"]
         + [f"q_{i}" for i in range(1, m + 1)]
     )
-    lines = [",".join(header)]
     # "%.17g" renders a float exactly as _fmt does; one template per row
-    # formats the whole line in one call, with no per-column strings
-    row_template = "%d,%d" + ",%.17g" * 5 + ",%d,%.17g,%.17g,%d,%.17g,%.17g" + ",%.17g" * m
+    # formats the head in one call, with no per-column strings
+    head_template = "%d,%d" + ",%.17g" * 5 + ",%d,%.17g,%.17g,%d,%.17g,%.17g"
+    q_template = ",%.17g" * m + "\n"
     rounds = np.arange(transcript.horizon)
     arms = competitor.experts
     loss = transcript.selected_loss
@@ -74,9 +74,18 @@ def write_rounds_csv(
         (np.cumsum(loss - competitor_loss) + 0.0).tolist(),
         transcript.q,
     )
-    for *head, q in columns:
-        lines.append(row_template % (run_index, *head, *q.tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    # while eps_t = 1 every q row is the uniform 1/M, so most rows of a
+    # wide game repeat the one before; a row is rendered again only when
+    # its bytes change (by bytes: -0.0 == 0.0 prints apart, NaN != NaN
+    # prints alike)
+    last_q, q_text = None, ""
+    with path.open("w") as handle:
+        handle.write(",".join(header) + "\n")
+        for *head, q in columns:
+            q_bytes = q.tobytes()
+            if q_bytes != last_q:
+                last_q, q_text = q_bytes, q_template % tuple(q.tolist())
+            handle.write(head_template % (run_index, *head) + q_text)
 
 
 def _report_json(report: RegretReport, seed: int) -> dict:
@@ -219,8 +228,6 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_validate(cfg: ExperimentConfig | None, args) -> int:
-    if args.runs is not None:
-        raise ConfigError("--runs", "validate has no seed count")
     # keys were checked at parse time; missing ones take the suite defaults
     options = dict(cfg.validate_options) if cfg is not None else {}
     if args.seed is not None:
@@ -247,14 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config, help="experiment config JSON")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="base seed (overrides config)")
-        p.add_argument("--runs", type=int, help="seed count (overrides config; not for validate)")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for batches")
+        p.add_argument("--runs", type=int, help="seed count (overrides config; batch and sweep)")
+        p.add_argument("--threads", type=int, default=1, help="worker processes (batch and sweep)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in ("run", "validate"):
+            if args.runs is not None:
+                raise ConfigError("--runs", f"{args.command} takes no seed count")
+            if args.threads != 1:
+                raise ConfigError(
+                    "--threads", f"{args.command} plays in one process, got {args.threads}"
+                )
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
         if args.runs is not None and args.runs < 1:

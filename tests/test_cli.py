@@ -177,6 +177,62 @@ class TestRoundsCsv:
         assert rows[2].split(",")[3] == "nan"
         assert rows[2].split(",")[13:15] == ["-0", "1e-300"]
 
+    def test_repeated_q_rows(self, tmp_path):
+        # W = 2 at M = 3: eps_t = 1, so q_t is exactly 1/3, for t <= 6
+        config = LearnerConfig(kernel=fixed_share_kernel(3, 0.1), w_budget=2.0)
+        losses = PiecewiseLosses(3, (0.0, 1.0), best_arms=[0, 2], boundaries=[0.5])
+        transcript = run_game(config, losses, bandit_feedback(3), 14, seed=3)
+        assert np.all(transcript.epsilon[:6] == 1.0) and np.all(transcript.q[:6] == 1 / 3)
+        assert np.all(transcript.epsilon[6:] < 1.0)
+        q = transcript.q
+        assert not np.array_equal(q[6], q[7])
+        # an earlier row again, but not the one just before
+        q[8] = q[6]
+        # equal values, different bytes
+        q[9] = [0.0, 0.5, 0.5]
+        q[10] = [-0.0, 0.5, 0.5]
+        # unequal values, equal bytes
+        q[11] = q[12] = [math.nan, 0.5, 0.5]
+        competitor = CompetitorSequence.from_experts([0, 1, 2] * 4 + [0, 1], config.kernel)
+        path = tmp_path / "rounds.csv"
+        write_rounds_csv(path, transcript, competitor, 2)
+
+        assert path.read_bytes() == reference_rounds_csv(transcript, competitor, 2)
+        rows = path.read_text().split("\n")
+        assert [row.split(",")[13] for row in rows[10:14]] == ["0", "-0", "nan", "nan"]
+
+    def test_single_expert(self, tmp_path):
+        config = LearnerConfig(kernel=fixed_share_kernel(1, 0.0), w_budget=2.0)
+        losses = PiecewiseLosses(1, (0.0, 1.0), best_arms=[0], boundaries=[])
+        transcript = run_game(config, losses, bandit_feedback(1), 5, seed=4)
+        competitor = CompetitorSequence.from_experts([0] * 5, config.kernel)
+        path = tmp_path / "rounds.csv"
+        write_rounds_csv(path, transcript, competitor, 0)
+
+        assert path.read_bytes() == reference_rounds_csv(transcript, competitor, 0)
+        assert [row.split(",")[13:] for row in path.read_text().splitlines()] == (
+            [["q_1"]] + [["1"]] * 5
+        )
+
+
+class TestOneProcessCommands:
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_one_process_flags(self, tmp_path, monkeypatch, capsys, command):
+        # the benchmark passes --threads 1 to both commands
+        from partialmix import cli
+
+        monkeypatch.setattr(cli, "run_validation_suite", lambda **kwargs: [])
+        argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--threads", "1"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--threads", "2"]) == 2
+        assert (
+            f"config error: --threads: {command} plays in one process, got 2"
+            in capsys.readouterr().err
+        )
+        assert main(argv + ["--runs", "3"]) == 2
+        assert f"config error: --runs: {command} takes no seed count" in capsys.readouterr().err
+
 
 class TestBatch:
     def test_batch_summary(self, tmp_path):
@@ -200,6 +256,21 @@ class TestBatch:
         plain = write_config(tmp_path / "plain", runs=2)
         assert main(["batch", "--config", str(plain), "--out", str(tmp_path / "o2")]) == 0
         assert (out / "batch.json").read_bytes() == (tmp_path / "o2" / "batch.json").read_bytes()
+
+    def test_rounds_csv_matches_run(self, tmp_path):
+        # both commands write through one writer: seed + i of a batch is
+        # the run at that seed, up to the run column
+        path = write_config(tmp_path, write_rounds=True)
+        batch_out, run_out = tmp_path / "batch", tmp_path / "run"
+        assert main(["batch", "--config", str(path), "--out", str(batch_out), "--runs", "2"]) == 0
+        assert main(["run", "--config", str(path), "--out", str(run_out), "--seed", "12"]) == 0
+        batch_rows = (batch_out / "run_0001.csv").read_bytes().split(b"\n")
+        run_rows = (run_out / "rounds.csv").read_bytes().split(b"\n")
+        assert len(batch_rows) == len(run_rows) == 62
+        assert batch_rows[0] == run_rows[0] and batch_rows[-1] == run_rows[-1] == b""
+        for batch_row, run_row in zip(batch_rows[1:-1], run_rows[1:-1]):
+            assert batch_row.startswith(b"1,") and run_row.startswith(b"0,")
+            assert batch_row[2:] == run_row[2:]
 
     def test_runs_override(self, tmp_path):
         path = write_config(tmp_path)

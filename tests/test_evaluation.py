@@ -8,6 +8,7 @@ from partialmix import evaluation
 from partialmix.classnet import CompetitorSequence, TableKernel, fixed_kernel
 from partialmix.environment import (
     CompetitorSpec,
+    ConstantFeedback,
     ScriptedLosses,
     bandit_feedback,
     full_feedback_process,
@@ -25,6 +26,7 @@ from partialmix.evaluation import (
     realized_regret,
     theoretical_bound,
 )
+from partialmix.feedback import FeedbackMatrix
 from partialmix.learner import LearnerConfig, epsilon_schedule
 
 
@@ -364,6 +366,35 @@ class TestMonteCarlo:
         bundle = self.bundle(np.full((5, 2), 0.5))
         with pytest.raises(ValueError, match="at least one worker"):
             monte_carlo(bundle, 2, n_workers=0)
+
+
+class TestSingleExpert:
+    @pytest.mark.parametrize(
+        "feedback",
+        [
+            bandit_feedback(1),
+            full_feedback_process(1),
+            ConstantFeedback(FeedbackMatrix(np.array([[1.0]]), "strict")),
+        ],
+        ids=["bandit", "full", "strict"],
+    )
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, None], ids=["0", "1", "default"])
+    def test_zero_regret_and_passing_diagnostics(self, feedback, epsilon):
+        # one expert: the learner and every competitor play it each round
+        values = np.random.default_rng(5).uniform(size=(40, 1))
+        bundle = ExperimentBundle(
+            learner_config=LearnerConfig(kernel=fixed_kernel(1), w_budget=2.0, epsilon=epsilon),
+            loss_process=ScriptedLosses(values, (0.0, 1.0)),
+            feedback_process=feedback,
+            horizon=40,
+            competitor=CompetitorSpec("best_fixed"),
+        )
+        transcript, _, report, _ = evaluation.play_and_score(bundle, 3, with_diagnostics=True)
+        assert np.all(transcript.selected == 0) and np.all(transcript.q == 1.0)
+        # the learner's loss is a round-by-round fold and the competitor's a
+        # numpy sum, so equal plays can differ in the last bits
+        assert report.realized_regret == pytest.approx(0.0, abs=1e-12)
+        assert report.diagnostics.all_passed, report.diagnostics.checks
 
 
 class TestFitScaling:
