@@ -133,7 +133,7 @@ class TableKernel:
         successor class ``j``. An all ``-inf`` input is returned as is."""
         if self._log_stay is None:
             return logsumexp(self.log_matrix + scaled[:, None], axis=0)
-        top = scaled.max()
+        top = scaled[scaled.argmax()]
         if top == -math.inf:
             return scaled
         log_total = top + math.log(np.exp(scaled - top).sum())
@@ -214,8 +214,9 @@ def advance(
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (kernel.n_experts,):
         raise ClassNetError(f"phi has shape {phi.shape}, expected ({kernel.n_experts},)")
-    # one reduction; a NaN fails the comparison too and is named here
-    if not phi.min() >= 0.0:
+    # one index lookup, which is the min or the first NaN; a NaN fails the
+    # comparison too and is named here
+    if not phi[phi.argmin()] >= 0.0:
         if np.isnan(phi).any():
             raise NegativePhiError(f"loss estimate {int(np.isnan(phi).argmax())} is NaN")
         raise NegativePhiError(f"loss estimates must be nonnegative, got min {phi.min()}")
@@ -226,7 +227,7 @@ def advance(
     log_z = log_w - eta_prev * (phi if kernel._identity else phi[kernel.experts])
     scaled = (eta_new / eta_prev) * log_z
     new_log = kernel.mix(scaled)
-    top = new_log.max()
+    top = new_log[new_log.argmax()]
     if top == -math.inf:
         raise EmptyClassSetError("all classes lost their mass")
     return new_log - top
@@ -239,7 +240,7 @@ def expert_marginals(log_w: np.ndarray, kernel: TableKernel) -> np.ndarray:
     # max-normalized by advance, so this is as stable as a grouped logsumexp
     if log_w.shape != kernel.experts.shape:
         raise ClassNetError(f"log_w has shape {log_w.shape}, expected {kernel.experts.shape}")
-    mass = np.exp(log_w - log_w.max())
+    mass = np.exp(log_w - log_w[log_w.argmax()])
     if kernel._identity:
         return mass / mass.sum()
     per_expert = np.bincount(kernel.experts, weights=mass, minlength=kernel.n_experts)

@@ -325,21 +325,23 @@ def run_game(
 
 # The k-switch DP runs on Python floats or as one numpy step per round over
 # all budgets, whichever is cheaper at (M, k). Per call at T = 3000 (min of
-# 5 calls, float/array ms; 2-vCPU VM, Python 3.11.7, numpy 2.4.6):
+# 21 calls, float/array ms; 2-vCPU VM, Python 3.11.7, numpy 2.4.6):
 #   k \ M      4          16          32          64         128
-#   0      1.8/1.9    2.8/1.9     4.3/1.9     7.1/1.9    14.0/2.0
-#   1      3.2/23.7   6.2/23.7   10.1/24.1   17.5/24.3   34.3/25.0
-#   2      4.6/24.5   9.1/24.5   14.4/24.9   26.8/25.7   52.3/27.4
-#   3      6.6/24.5  12.3/24.6   20.6/25.2   37.6/26.5   70.9/29.2
-#   5      8.5/24.6  18.6/25.3   31.4/26.5   56.5/27.9  110.0/31.5
-#   8     13.0/24.9  27.1/25.9   47.9/27.6   87.2/30.8  165.7/35.8
-# The forms meet near M = 5, 92, 62, 44, 25 and 15 at k = 0, 1, 2, 3, 5 and
-# 8. The per-round costs below (in µs) are fitted to this table and put the
-# crossovers at M = 5, 96, 59, 42, 25 and 15; they keep the float form below
-# 96 experts, inside its one-byte origins.
+#   0      2.8/2.9    4.5/2.9     6.5/2.8    11.6/3.0    20.9/3.2
+#   1      5.0/19.8   8.9/18.7   14.2/19.6   24.6/20.3   50.1/22.1
+#   2      7.4/21.2  14.0/21.1   22.7/21.1   41.0/21.0   73.1/21.7
+#   3      8.5/21.2  16.9/19.3   28.3/20.7   52.5/23.2  100.9/25.3
+#   5     13.0/21.7  25.8/20.8   43.2/21.1   78.7/23.4  176.1/30.0
+#   8     19.3/21.1  39.2/22.4   71.7/24.6  129.6/28.4  256.2/36.2
+# The forms meet near M = 5, 50, 29, 20, 12 and 5 at k = 0, 1, 2, 3, 5 and
+# 8. The float costs below (in µs per round) come from an earlier table on
+# the same kind of VM, where the float form ran 1.45 times faster; the array
+# costs are this table's divided by that ratio. They put the crossovers at
+# M = 5, 48, 29, 20, 11 and 5, and keep the float form below 48 experts,
+# inside its one-byte origins.
 def _float_dp_is_faster(m: int, k: int) -> bool:
     float_us = 0.47 + 0.28 * k + (0.034 + 0.048 * k) * m
-    array_us = 0.63 if k == 0 else 8.2 + 0.0037 * k * m
+    array_us = 0.63 if k == 0 else 4.5 + 0.0035 * k * m
     return float_us < array_us
 
 
@@ -410,13 +412,16 @@ def _array_dp(losses: np.ndarray, k: int):
     horizon, m = losses.shape
     cost = np.tile(losses[0], (k + 1, 1))
     origin = np.zeros((horizon, k + 1, m), dtype=np.min_scalar_type(m))
+    head, tail = cost[:-1], cost[1:]  # views; tail is written in place
+    rows = np.arange(k)
     for t in range(1, horizon):
         if k:
-            best = cost[:-1].argmin(axis=1)[:, None]
-            best_v = np.take_along_axis(cost[:-1], best, axis=1)
-            use_switch = best_v < cost[1:]
-            cost[1:] = np.where(use_switch, best_v, cost[1:])
-            origin[t, 1:] = np.where(use_switch, best + 1, 0)
+            best = head.argmin(axis=1)
+            best_v = head[rows, best][:, None]  # a copy, taken before tail moves
+            use_switch = best_v < tail
+            np.copyto(tail, best_v, where=use_switch)
+            # 1 + a' where switching, else 0; 1 + a' <= M fits the dtype
+            np.multiply(use_switch, best[:, None] + 1, out=origin[t, 1:], casting="unsafe")
         cost += losses[t]
     j = int(cost.min(axis=1).argmin())
     return origin, j, int(cost[j].argmin())

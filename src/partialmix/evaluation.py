@@ -28,6 +28,8 @@ from .environment import (
 from .learner import LearnerConfig
 
 RELATIVE_TOLERANCE = 1e-8
+# entries per block of the observation-floor verdict
+FLOOR_BLOCK_ENTRIES = 1 << 16
 Z_95 = 1.959963984540054
 
 
@@ -138,10 +140,20 @@ def check_lemmas(
         ((w_prefix + gamma) / gamma) * sqrt_vd + gamma * sqrt_v,
     )
 
-    floor = np.broadcast_to(transcript.epsilon[:, None] / m, o.shape)
-    observation_floor = _verdict(
-        "observation_floor", floor.ravel(), o.ravel()
-    )
+    # the (T, M) verdict, one row block at a time: argmin over the block
+    # verdicts keeps the flat argmin's first minimum and first NaN, and no
+    # temporary spans the whole game
+    floor = transcript.epsilon / m
+    rows = max(1, FLOOR_BLOCK_ENTRIES // m)
+    blocks = [
+        _verdict(
+            "observation_floor",
+            np.repeat(floor[start:start + rows], m),
+            o[start:start + rows].ravel(),
+        )
+        for start in range(0, horizon, rows)
+    ]
+    observation_floor = blocks[int(np.argmin([b.slack for b in blocks]))]
 
     return LemmaDiagnostics((variance_sum, rate_drop, tracking, observation_floor))
 

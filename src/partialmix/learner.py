@@ -162,7 +162,7 @@ class RateUpdate(NamedTuple):
 def select(q: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw over experts in index order; consumes one uniform."""
     u = rng.random()
-    cdf = q.cumsum()
+    cdf = np.add.accumulate(q)
     return int(min(cdf.searchsorted(u, side="right"), len(q) - 1))
 
 
@@ -197,7 +197,7 @@ def update_rate(
     ``V + D^2 == 0`` every estimate so far was exactly zero, so the rate
     stays unset and the weight update degenerates to pure kernel mixing.
     """
-    d = float(phi.max() - phi.min())
+    d = float(phi[phi.argmax()] - phi[phi.argmin()])
     v = float(p @ (phi * phi))
     V = state.V + v
     D = max(state.D, d)
@@ -222,8 +222,9 @@ def prepare_round(
     q = (1.0 - eps) * p + eps / len(p)
     o = observation_probabilities(matrix, q)
     floor = eps / config.n_experts
-    # one reduction; a NaN fails the comparison too and is named here
-    if not o.min() >= floor * (1.0 - OBSERVATION_FLOOR_SLACK):
+    # one index lookup, which is the min or the first NaN; a NaN fails the
+    # comparison too and is named here
+    if not o[o.argmin()] >= floor * (1.0 - OBSERVATION_FLOOR_SLACK):
         if np.isnan(o).any():
             raise RuntimeError(
                 f"observation probability {int(np.isnan(o).argmax())} is NaN at round "

@@ -344,6 +344,7 @@ class TestBestCompetitorDifferential:
             (6, 3, 10), (6, AT, 5), (6, BELOW, 6),  # budget at or past T - 1
             (300, 2, 1), (300, 4, 2), (200, 7, 5),
             (120, BELOW, 2), (120, AT, 2), (80, 64, 3),
+            (60, 256, 2), (40, 300, 3),  # uint16 origins
         ],
     )
     def test_matches_reference(self, kind, horizon, m, k):
@@ -357,6 +358,15 @@ class TestBestCompetitorDifferential:
             k = int(rng.integers(0, 6))
             losses = rng.integers(0, 2, size=(horizon, m)).astype(float)
             self.check(losses, k)
+
+    @pytest.mark.parametrize("m", [256, 300])
+    def test_switch_from_an_arm_past_255(self, m):
+        # the move 1 + a' out of the last arm needs two-byte origins
+        losses = np.ones((6, m))
+        losses[:3, -1] = losses[3:, 0] = 0.0
+        self.check(losses, 1)
+        seq = best_competitor(losses, fixed_kernel(m), 1)
+        np.testing.assert_array_equal(seq.experts, [m - 1] * 3 + [0] * 3)
 
     @pytest.mark.parametrize("m", [4, AT])
     def test_all_equal_losses_stay_on_the_first_arm(self, m):

@@ -9,6 +9,7 @@ from partialmix.classnet import CompetitorSequence, TableKernel, fixed_kernel
 from partialmix.environment import (
     CompetitorSpec,
     ConstantFeedback,
+    GameTranscript,
     ScriptedLosses,
     bandit_feedback,
     full_feedback_process,
@@ -274,6 +275,78 @@ class TestCheckLemmas:
         assert tracking.passed
         assert tracking.rhs >= 1.0
         assert tracking.lhs >= 0.25 * tracking.rhs
+
+
+class TestObservationFloorBlocks:
+    """The block-wise ``observation_floor`` verdict against ``_verdict`` on
+    the flat (T*M) arrays, on hand-built transcripts whose other columns
+    are zero, so only ``epsilon`` and ``o`` matter."""
+
+    @staticmethod
+    def transcript(epsilon, o):
+        horizon, m = o.shape
+        config = LearnerConfig(kernel=fixed_kernel(m), w_budget=1.0)
+        tr = GameTranscript(config, 0, np.zeros((horizon, m)), (0.0, 1.0))
+        for name in ("V", "D", "v", "d", "phi"):
+            getattr(tr, name)[:] = 0.0
+        tr.eta[:] = math.nan
+        tr.p[:] = 1.0 / m
+        tr.epsilon[:] = epsilon
+        tr.o[:] = o
+        competitor = CompetitorSequence.from_experts(np.zeros(horizon, dtype=int), config.kernel)
+        return check_lemmas(tr, competitor)["observation_floor"]
+
+    @staticmethod
+    def marked_rows(horizon, m):
+        """Three rows in three different blocks when the game spans three,
+        else three rows of its one block."""
+        rows = max(1, evaluation.FLOOR_BLOCK_ENTRIES // m)
+        if horizon > 2 * rows:
+            return [rows // 2, rows + rows // 2, 2 * rows + rows // 2]
+        assert horizon * m <= evaluation.FLOOR_BLOCK_ENTRIES
+        return [horizon // 5, horizon // 2, 4 * horizon // 5]
+
+    # the marked entries as (row, epsilon / M, o), and the expected (lhs,
+    # rhs, slack, passed); every other entry has o = 100 and slack near 1
+    CASES = {
+        # slack 0 in the first and the third row: the earlier one wins
+        "tie": ([(0, 1.0, 1.0), (2, 0.5, 0.5)], (1.0, 1.0, 0.0, True)),
+        # o = 4 gives slack (4 - 5) / 4 = -0.25, above the later -0.5
+        "scale": ([(0, 5.0, 4.0), (1, 1.0, 0.5)], (1.0, 0.5, -0.5, False)),
+        # a NaN after a finite minimum wins, and the first NaN of two
+        "nan": (
+            [(0, 0.5, 0.1), (1, 0.25, math.nan), (2, 0.75, math.nan)],
+            (0.25, math.nan, math.nan, False),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize(
+        "horizon, m, block_entries",
+        [
+            (50, 4, None),  # one block
+            (700, 256, None),
+            (45_000, 4, None),
+            (60_000, 3, None),
+            (3, 6, 4),  # fewer entries per block than M: one row each
+        ],
+    )
+    def test_matches_the_flat_verdict(self, monkeypatch, horizon, m, block_entries, case):
+        if block_entries is not None:
+            monkeypatch.setattr(evaluation, "FLOOR_BLOCK_ENTRIES", block_entries)
+        marks, (lhs, rhs, slack, passed) = self.CASES[case]
+        rows = self.marked_rows(horizon, m)
+        epsilon = np.full(horizon, 0.5)
+        o = np.full((horizon, m), 100.0)
+        for mark, (i, floor, value) in enumerate(marks):
+            epsilon[rows[i]] = floor * m
+            o[rows[i], (mark * 7) % m] = value  # not always the same column
+        got = self.transcript(epsilon, o)
+        flat = evaluation._verdict(
+            "observation_floor", np.broadcast_to(epsilon[:, None] / m, o.shape).ravel(), o.ravel()
+        )
+        assert repr(got) == repr(flat)
+        assert repr((got.lhs, got.rhs, got.slack, got.passed)) == repr((lhs, rhs, slack, passed))
 
 
 class TestMonteCarlo:

@@ -239,9 +239,18 @@ class TestStep:
             total_observed += int(indicators.sum())
         assert total_queried == total_observed
 
-    def test_observation_floor_violation_aborts(self):
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0.1, 0.0], [0.0, 0.1]],
+            # one entry below the floor and one above, in either position
+            [[0.1, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, 0.1]],
+        ],
+    )
+    def test_observation_floor_violation_aborts(self, entries):
         # an unvalidated deficient scheme trips the runtime floor check
-        matrix = FeedbackMatrix(np.array([[0.1, 0.0], [0.0, 0.1]]), "strict")
+        matrix = FeedbackMatrix(np.array(entries), "strict")
         config = bandit_config(2, w=1.0)
         with pytest.raises(RuntimeError, match=r"^observation probability 0\.05 fell below the floor"):
             play(config, matrix, np.full((3, 2), 0.5))
