@@ -154,15 +154,15 @@ def _cmd_run(cfg: ExperimentConfig, args) -> int:
 def _cmd_batch(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     bundle = cfg.experiment
-    if cfg.write_rounds:
-        results: list[RunResult] = []
-        for i in range(cfg.runs):
-            transcript, competitor, _, result = play_and_score(bundle, cfg.seed + i)
+    results: list[RunResult] = []
+    for i in range(cfg.runs):
+        transcript, competitor, _, result = play_and_score(bundle, cfg.seed + i)
+        if cfg.write_rounds:
             write_rounds_csv(out / f"run_{i:04d}.csv", transcript, competitor, run_index=i)
-            results.append(result)
-        summary = summarize_runs(bundle, results)
-    else:
-        summary, _ = monte_carlo(bundle, cfg.runs, base_seed=cfg.seed, n_workers=args.threads)
+        # free this game's transcript before the next one is played
+        del transcript, competitor
+        results.append(result)
+    summary = summarize_runs(bundle, results)
     _write_json(out / "batch.json", _summary_json(summary, cfg.seed, bundle.horizon))
     print(
         f"batch: {summary.n_seeds} seeds, mean regret {summary.mean_regret:.6g} "
@@ -179,7 +179,7 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     rows = []
     for horizon in cfg.sweep_horizons:
         bundle = dataclasses.replace(cfg.experiment, horizon=horizon)
-        summary, _ = monte_carlo(bundle, runs, base_seed=cfg.seed, n_workers=args.threads)
+        summary, _ = monte_carlo(bundle, runs, base_seed=cfg.seed)
         rows.append((horizon, summary))
         print(
             f"sweep: T {horizon}, mean regret {summary.mean_regret:.6g} "
@@ -255,26 +255,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="base seed (overrides config)")
         p.add_argument("--runs", type=int, help="seed count (overrides config; batch and sweep)")
-        p.add_argument("--threads", type=int, default=1, help="worker processes (batch and sweep)")
+        # kept, as 1 only, for scripts that pass it
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="only 1 is accepted: every command plays in one process",
+        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("run", "validate"):
-            if args.runs is not None:
-                raise ConfigError("--runs", f"{args.command} takes no seed count")
-            if args.threads != 1:
-                raise ConfigError(
-                    "--threads", f"{args.command} plays in one process, got {args.threads}"
-                )
+        if args.command in ("run", "validate") and args.runs is not None:
+            raise ConfigError("--runs", f"{args.command} takes no seed count")
+        if args.threads != 1:
+            raise ConfigError(
+                "--threads", f"{args.command} plays in one process, got {args.threads}"
+            )
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed", f"must be at least 0, got {args.seed}")
         if args.runs is not None and args.runs < 1:
             raise ConfigError("--runs", f"must be at least 1, got {args.runs}")
-        if args.threads < 1:
-            raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         cfg = load_config(args.config) if args.config else None
         if args.command == "validate":
             return _cmd_validate(cfg, args)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,11 +346,6 @@ def play_and_score(
     return transcript, competitor, report, result
 
 
-def _run_one(bundle: ExperimentBundle, seed: int) -> RunResult:
-    # top level so that the process pool can pickle it
-    return play_and_score(bundle, seed)[3]
-
-
 def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchSummary:
     """Aggregate per-seed results; the bound uses the worst realized
     competitor complexity with the budget-driven schedule."""
@@ -384,25 +378,14 @@ def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchS
 
 
 def monte_carlo(
-    bundle: ExperimentBundle,
-    n_seeds: int,
-    base_seed: int = 0,
-    n_workers: int = 1,
+    bundle: ExperimentBundle, n_seeds: int, base_seed: int = 0
 ) -> tuple[BatchSummary, list[RunResult]]:
-    """Play ``n_seeds`` independent games on seeds ``base_seed + i`` and
-    aggregate their regrets. Deterministic given the base seed; results do
-    not depend on worker count. Starts at most one worker per seed."""
+    """Play ``n_seeds`` independent games on seeds ``base_seed + i``, one
+    after another in this process, and aggregate their regrets.
+    Deterministic given the base seed."""
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
-    seeds = [base_seed + i for i in range(n_seeds)]
-    n_workers = min(n_workers, n_seeds)
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_one, [bundle] * n_seeds, seeds, chunksize=8))
-    else:
-        results = [_run_one(bundle, s) for s in seeds]
+    results = [play_and_score(bundle, base_seed + i)[3] for i in range(n_seeds)]
     return summarize_runs(bundle, results), results
 
 

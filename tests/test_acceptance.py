@@ -153,7 +153,7 @@ class TestAcceptance:
             horizon=2,
             competitor=CompetitorSpec("explicit", sequence=(0, 0)),
         )
-        summary, _ = monte_carlo(bundle, 10**5, base_seed=1000, n_workers=2)
+        summary, _ = monte_carlo(bundle, 10**5, base_seed=1000)
         elapsed = time.perf_counter() - started
         gap = abs(summary.mean_regret - exact)
         ok = gap <= 4 * summary.std_error and elapsed < 60.0
@@ -169,7 +169,7 @@ class TestAcceptance:
         started = time.perf_counter()
         horizon, seeds = 10**4, 50
         bundle = switching_bundle(horizon)
-        summary, results = monte_carlo(bundle, seeds, base_seed=600, n_workers=2)
+        summary, results = monte_carlo(bundle, seeds, base_seed=600)
         elapsed = time.perf_counter() - started
         budget = bundle.learner_config.w_budget
         realized = max(r.complexity for r in results)
@@ -194,9 +194,7 @@ class TestAcceptance:
         horizons = [2**k for k in range(10, 17)]
         means = []
         for horizon in horizons:
-            summary, _ = monte_carlo(
-                switching_bundle(horizon), 30, base_seed=700, n_workers=2
-            )
+            summary, _ = monte_carlo(switching_bundle(horizon), 30, base_seed=700)
             means.append(summary.mean_regret)
         slope = fit_scaling(np.array(horizons, dtype=float), np.array(means))
         elapsed = time.perf_counter() - started

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,22 +220,45 @@ class TestRoundsCsv:
 
 
 class TestOneProcessCommands:
-    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("command", ["run", "batch", "sweep", "validate"])
     def test_one_process_flags(self, tmp_path, monkeypatch, capsys, command):
-        # the benchmark passes --threads 1 to both commands
+        # every command plays in one process; the benchmark passes --threads 1
         from partialmix import cli
 
         monkeypatch.setattr(cli, "run_validation_suite", lambda **kwargs: [])
-        argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
-        assert main(argv + ["--threads", "1"]) == 0
+        path = write_config(tmp_path, runs=2, sweep={"horizons": [5, 6], "runs": 2})
+        argv = [command, "--config", str(path), "--out"]
+        assert main(argv + [str(tmp_path / "o"), "--threads", "1"]) == 0
         capsys.readouterr()
-        assert main(argv + ["--threads", "2"]) == 2
-        assert (
-            f"config error: --threads: {command} plays in one process, got 2"
-            in capsys.readouterr().err
+        for threads in ["2", "0", "-2"]:
+            out = tmp_path / f"o{threads}"
+            assert main(argv + [str(out), "--threads", threads]) == 2
+            assert (
+                f"config error: --threads: {command} plays in one process, got {threads}"
+                in capsys.readouterr().err
+            )
+            assert not out.exists()
+        if command in ("run", "validate"):
+            assert main(argv + [str(tmp_path / "o"), "--runs", "3"]) == 2
+            assert f"config error: --runs: {command} takes no seed count" in capsys.readouterr().err
+
+    def test_cli_imports_no_process_machinery(self):
+        # a fresh interpreter, so that no other test's imports count
+        script = (
+            "import sys, partialmix.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
         )
-        assert main(argv + ["--runs", "3"]) == 2
-        assert f"config error: --runs: {command} takes no seed count" in capsys.readouterr().err
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestBatch:
@@ -283,7 +310,10 @@ class TestBatch:
         path = write_config(tmp_path)
         out = tmp_path / "o"
         assert main(["batch", "--config", str(path), "--out", str(out), "--threads", threads]) == 2
-        assert f"config error: --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert (
+            f"config error: --threads: batch plays in one process, got {threads}"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_ragged_feedback_matrix_exits_2(self, tmp_path, capsys):

@@ -378,38 +378,13 @@ class TestMonteCarlo:
         assert high - low == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_and_worker_independent(self):
+        # one process plays the seeds in turn: seed i's result is that
+        # seed's game played alone
         values = np.random.default_rng(11).uniform(size=(30, 2))
         bundle = self.bundle(values)
-        seq, _ = monte_carlo(bundle, 6, base_seed=17, n_workers=1)
-        par, _ = monte_carlo(bundle, 6, base_seed=17, n_workers=2)
-        assert seq == par
-        again, _ = monte_carlo(bundle, 6, base_seed=17, n_workers=1)
-        assert seq == again
-
-
-    @pytest.mark.parametrize("n_workers, n_seeds, pools", [(64, 2, [2]), (2, 5, [2]), (3, 1, [])])
-    def test_starts_at_most_one_worker_per_seed(self, monkeypatch, n_workers, n_seeds, pools):
-        # a recorder stands in for the process pool, so no process starts
-        started = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", Recorder)
-        bundle = self.bundle(np.random.default_rng(12).uniform(size=(10, 2)))
-        _, results = monte_carlo(bundle, n_seeds, base_seed=5, n_workers=n_workers)
-        assert started == pools
-        assert results == monte_carlo(bundle, n_seeds, base_seed=5)[1]
+        _, results = monte_carlo(bundle, 6, base_seed=17)
+        assert results == [evaluation.play_and_score(bundle, 17 + i)[3] for i in range(6)]
+        assert results == monte_carlo(bundle, 6, base_seed=17)[1]
 
     @pytest.mark.parametrize("with_diagnostics", [False, True])
     def test_play_and_score_composes_game_competitor_and_report(self, with_diagnostics):
@@ -434,11 +409,6 @@ class TestMonteCarlo:
             complexity=report.complexity,
             n_switches=competitor.n_switches,
         )
-
-    def test_needs_a_worker(self):
-        bundle = self.bundle(np.full((5, 2), 0.5))
-        with pytest.raises(ValueError, match="at least one worker"):
-            monte_carlo(bundle, 2, n_workers=0)
 
 
 class TestSingleExpert:
@@ -467,6 +437,31 @@ class TestSingleExpert:
         # the learner's loss is a round-by-round fold and the competitor's a
         # numpy sum, so equal plays can differ in the last bits
         assert report.realized_regret == pytest.approx(0.0, abs=1e-12)
+        assert report.diagnostics.all_passed, report.diagnostics.checks
+
+
+class TestZeroEpsilonStrictFeedback:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n_experts", [2, 3, 4, 5])
+    def test_plays_with_infinite_bound_and_passing_diagnostics(self, n_experts, seed):
+        # no uniform floor: q can go to 1e-9, but a Dirichlet row is
+        # positive in every column, so every o_m stays positive
+        rng = np.random.default_rng([n_experts, seed])
+        entries = rng.dirichlet(np.ones(n_experts), size=n_experts)
+        bundle = ExperimentBundle(
+            learner_config=LearnerConfig(
+                kernel=fixed_kernel(n_experts), w_budget=10.0, epsilon=0.0
+            ),
+            loss_process=ScriptedLosses(rng.uniform(size=(2000, n_experts)), (0.0, 1.0)),
+            feedback_process=ConstantFeedback(FeedbackMatrix(entries, "strict")),
+            horizon=2000,
+            competitor=CompetitorSpec("best_fixed"),
+        )
+        transcript, _, report, _ = evaluation.play_and_score(bundle, seed, with_diagnostics=True)
+        assert np.all(np.isfinite(transcript.q)) and math.isfinite(report.realized_regret)
+        # the bound's M/eps_T term is infinite at eps = 0
+        assert report.bound.theorem == report.bound.cleaner == math.inf
+        assert len(report.diagnostics.checks) == 4
         assert report.diagnostics.all_passed, report.diagnostics.checks
 
 
