@@ -11,6 +11,7 @@ that round by round.
 from __future__ import annotations
 
 import math
+from array import array
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -227,9 +228,11 @@ class GameTranscript:
     losses for hindsight evaluation. The learner never sees this object.
 
     (T,) columns: ``epsilon``, ``eta`` (NaN while the rate is unset),
-    ``psi``, ``V``, ``D``, ``v``, ``d``, ``selected`` and ``selected_loss``
-    (the loss incurred, revealed or not). (T, M) columns: ``p``, ``q``,
-    ``o``, ``phi`` and the int8 observation ``indicators``.
+    ``psi``, ``V``, ``D``, ``v``, ``d``, ``selected``, ``selected_loss``
+    (the loss incurred, revealed or not) and ``p_phi`` (``p_t . phi_t``).
+    (T, M) columns: ``q``, ``o`` (``q`` itself while every round played has
+    identity feedback; a writer of other ``o`` rows gives it an array of its
+    own), ``phi`` and the int8 observation ``indicators``.
     """
 
     config: LearnerConfig
@@ -240,9 +243,10 @@ class GameTranscript:
     def __post_init__(self) -> None:
         horizon, m = self.losses.shape
         (self.epsilon, self.eta, self.psi, self.V, self.D, self.v, self.d,
-         self.selected_loss) = np.empty((8, horizon))
+         self.selected_loss, self.p_phi) = np.empty((9, horizon))
         self.selected = np.empty(horizon, dtype=int)
-        self.p, self.q, self.o, self.phi = np.empty((4, horizon, m))
+        self.q, self.phi = np.empty((2, horizon, m))
+        self.o = self.q  # until run_game meets a matrix that is not an identity
         self.indicators = np.empty((horizon, m), dtype=np.int8)
 
     @property
@@ -283,7 +287,8 @@ def run_game(
     loss_seq, play_seq = np.random.SeedSequence(seed).spawn(2)
     losses = loss_process.generate(horizon, np.random.default_rng(loss_seq))
     low, high = loss_process.loss_range
-    if np.any(losses < low) or np.any(losses > high):
+    # fails on NaN too, and builds no (T, M) temporary
+    if not (losses.min() >= low and losses.max() <= high):
         raise EnvironmentError_("loss process produced values outside its declared range")
     play_rng = np.random.default_rng(play_seq)
 
@@ -315,9 +320,14 @@ def run_game(
         tr.selected[i] = selected
         # the incurred loss is environment-side knowledge even when hidden
         tr.selected_loss[i] = row[selected]
-        tr.p[i] = ctx.p
+        # phi is an exact zero off the revealed losses: one reveal, one product
+        tr.p_phi[i] = (ctx.p[queried[0]] * phi[queried[0]] if len(queried) == 1
+                       else np.einsum("m,m->", ctx.p, phi))
         tr.q[i] = ctx.q
-        tr.o[i] = ctx.o
+        if tr.o is tr.q and not matrix.is_identity:
+            tr.o = tr.q.copy()  # identity feedback observed each loss with its q
+        if tr.o is not tr.q:
+            tr.o[i] = ctx.o
         tr.phi[i] = phi
         tr.indicators[i] = indicators
     return tr
@@ -337,8 +347,8 @@ def run_game(
 # 8. The float costs below (in µs per round) come from an earlier table on
 # the same kind of VM, where the float form ran 1.45 times faster; the array
 # costs are this table's divided by that ratio. They put the crossovers at
-# M = 5, 48, 29, 20, 11 and 5, and keep the float form below 48 experts,
-# inside its one-byte origins.
+# M = 5, 48, 29, 20, 11 and 5, so the float form plays below 48 experts at
+# every budget and the array form every wider game.
 def _float_dp_is_faster(m: int, k: int) -> bool:
     float_us = 0.47 + 0.28 * k + (0.034 + 0.048 * k) * m
     array_us = 0.63 if k == 0 else 4.5 + 0.0035 * k * m
@@ -366,16 +376,19 @@ def best_competitor(
     horizon, m = losses.shape
     if max_switches < 0:
         raise EnvironmentError_("switch budget must be nonnegative")
+    # NaN fails both comparisons; no (T, M) temporary
+    if not (-math.inf < losses.min() and losses.max() < math.inf):
+        raise EnvironmentError_("competitor losses must be finite")
     k = min(max_switches, horizon - 1)
     dp = _float_dp if _float_dp_is_faster(m, k) else _array_dp
-    # origin[t, j, a]: 0 = stayed on a, 1 + a' = switched from a'
-    origin, j, arm = dp(losses, k)
+    # switched[t, j - 1, a]: arm a with budget j switched in at round t,
+    # from source[t, j - 1], the first best arm of budget j - 1
+    switched, source, j, arm = dp(losses, k)
     path = np.empty(horizon, dtype=int)
     for t in range(horizon - 1, 0, -1):
         path[t] = arm
-        move = int(origin[t, j, arm])
-        if move:
-            arm = move - 1
+        if j and switched[t, j - 1, arm]:
+            arm = int(source[t, j - 1])
             j -= 1
     path[0] = arm
     return CompetitorSequence.from_experts(path, kernel)
@@ -384,47 +397,48 @@ def best_competitor(
 def _float_dp(losses: np.ndarray, k: int):
     horizon, m = losses.shape
     cost = [losses[0].tolist() for _ in range(k + 1)]
-    stride = (k + 1) * m
-    origin = bytearray(horizon * stride)  # a move 1 + a' < 256 fits a byte
+    switched = bytearray(horizon * k * m)
+    source = array(np.min_scalar_type(m - 1).char, [0]) * (horizon * k)
     for t in range(1, horizon):
         row = losses[t].tolist()
         # descending budgets read cost[j - 1] before it takes round t
         for j in range(k, 0, -1):
             prev = cost[j - 1]
             best_v = min(prev)
-            move = prev.index(best_v) + 1
+            at = t * k + j - 1
+            source[at] = prev.index(best_v)
+            at *= m
             c = cost[j]
-            at = t * stride + j * m
             for a in range(m):
                 x = c[a]
                 if best_v < x:
                     x = best_v
-                    origin[at + a] = move
+                    switched[at + a] = 1
                 c[a] = x + row[a]
         cost[0] = [x + r for x, r in zip(cost[0], row)]
     mins = [min(c) for c in cost]
     j = mins.index(min(mins))
-    origin = np.frombuffer(origin, dtype=np.uint8).reshape(horizon, k + 1, m)
-    return origin, j, cost[j].index(mins[j])
+    switched = np.frombuffer(switched, dtype=bool).reshape(horizon, k, m)
+    source = np.frombuffer(source, dtype=source.typecode).reshape(horizon, k)
+    return switched, source, j, cost[j].index(mins[j])
 
 
 def _array_dp(losses: np.ndarray, k: int):
     horizon, m = losses.shape
     cost = np.tile(losses[0], (k + 1, 1))
-    origin = np.zeros((horizon, k + 1, m), dtype=np.min_scalar_type(m))
+    switched = np.zeros((horizon, k, m), dtype=bool)
+    source = np.zeros((horizon, k), dtype=np.min_scalar_type(m - 1))
     head, tail = cost[:-1], cost[1:]  # views; tail is written in place
     rows = np.arange(k)
     for t in range(1, horizon):
         if k:
-            best = head.argmin(axis=1)
+            best = source[t] = head.argmin(axis=1)
             best_v = head[rows, best][:, None]  # a copy, taken before tail moves
-            use_switch = best_v < tail
-            np.copyto(tail, best_v, where=use_switch)
-            # 1 + a' where switching, else 0; 1 + a' <= M fits the dtype
-            np.multiply(use_switch, best[:, None] + 1, out=origin[t, 1:], casting="unsafe")
+            np.less(best_v, tail, out=switched[t])
+            np.copyto(tail, best_v, where=switched[t])
         cost += losses[t]
     j = int(cost.min(axis=1).argmin())
-    return origin, j, int(cost[j].argmin())
+    return switched, source, j, int(cost[j].argmin())
 
 
 @dataclass(frozen=True)

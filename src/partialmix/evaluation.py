@@ -129,7 +129,7 @@ def check_lemmas(
         rate_drop = _verdict("rate_drop", np.cumsum((1.0 - ratio) * d), sqrt_vd)
 
     experts = competitor.experts
-    inst = np.einsum("tm,tm->t", transcript.p, phi) - phi[np.arange(horizon), experts]
+    inst = transcript.p_phi - phi[np.arange(horizon), experts]
     log_counts = np.full(horizon, math.log(kernel.class_count(horizon)))
     log_counts[0] = math.log(kernel.class_count(1))
     w_prefix = log_counts - np.cumsum(kernel.path_log_factors(competitor.classes))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from partialmix.environment import (
     CompetitorSpec,
     ConstantFeedback,
     EnvironmentError_,
+    FeedbackProcess,
     IIDLosses,
+    LossProcess,
     PiecewiseLosses,
     ScriptedFeedback,
     ScriptedLosses,
     UniformArm,
+    _array_dp,
+    _float_dp,
     _float_dp_is_faster,
     bandit_feedback,
     best_competitor,
@@ -23,7 +28,12 @@ from partialmix.environment import (
     resolve_competitor,
     run_game,
 )
-from partialmix.feedback import FeedbackMatrix, identity_feedback
+from partialmix.feedback import (
+    FeedbackMatrix,
+    full_feedback,
+    identity_feedback,
+    observation_probabilities,
+)
 from partialmix.learner import LearnerConfig
 
 
@@ -193,6 +203,43 @@ class TestRunGame:
         with pytest.raises(RuntimeError, match="unrevealed loss at round 3"):
             run_game(bandit_config(3), losses, bandit_feedback(3), 5, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.5])
+    def test_losses_outside_the_range_abort_the_game(self, bad):
+        class OneBadLoss(LossProcess):
+            def generate(self, horizon, rng):
+                out = np.full((horizon, self.n_experts), 0.5)
+                out[horizon // 2, 1] = bad
+                return out
+
+        with pytest.raises(EnvironmentError_, match="outside its declared range"):
+            run_game(bandit_config(3), OneBadLoss(3, (0.0, 1.0)), bandit_feedback(3), 10, seed=0)
+
+    def test_o_follows_the_matrices_played(self):
+        # a process may answer differently on each call: identity for its
+        # first `horizon` calls, full feedback after, so two games on one
+        # instance play identity and then full feedback
+        m, horizon = 3, 8
+
+        class TurnsFull(FeedbackProcess):
+            n_experts = m
+
+            def __init__(self):
+                self.played = []
+
+            def matrix_at(self, t):
+                full = len(self.played) >= horizon
+                self.played.append(full_feedback(m) if full else identity_feedback(m))
+                return self.played[-1]
+
+        process = TurnsFull()
+        losses = IIDLosses([UniformArm(0, 1)] * m, (0.0, 1.0))
+        for game in range(2):
+            tr = run_game(bandit_config(m), losses, process, horizon, seed=game)
+            played = process.played[-horizon:]
+            assert (tr.o is tr.q) == (game == 0)
+            for i, matrix in enumerate(played):
+                assert tr.o[i].tobytes() == observation_probabilities(matrix, tr.q[i]).tobytes()
+
     def test_dimension_mismatch_rejected(self):
         config = bandit_config(3)
         losses = IIDLosses([UniformArm(0, 1)] * 2, (0.0, 1.0))
@@ -236,6 +283,29 @@ class TestBestCompetitor:
             got_value = losses[np.arange(horizon), got.experts].sum()
             assert got_value == pytest.approx(best_value, abs=1e-12)
             assert got.n_switches <= k
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("m", [4, 256])  # the float and the array form
+    def test_non_finite_losses_rejected(self, m, bad):
+        losses = np.full((10, m), 0.5)
+        losses[4, m - 1] = bad
+        with pytest.raises(EnvironmentError_, match="must be finite"):
+            best_competitor(losses, fixed_kernel(m), 2)
+
+    @pytest.mark.parametrize("dp, horizon", [(_float_dp, 200), (_array_dp, 600)])
+    def test_narrow_dp_keeps_near_one_byte_per_cell(self, dp, horizon):
+        # the switch mask is one byte per (round, budget, arm); the source
+        # arm of each (round, budget) is one more byte below 257 experts,
+        # a quarter of the mask at M = 4, and the cost rows are small
+        m, k = 4, horizon - 1
+        losses = np.random.default_rng(3).uniform(size=(horizon, m))
+        tracemalloc.start()
+        try:
+            dp(losses, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * horizon * k * m
 
     def test_loss_nonincreasing_in_switch_budget(self):
         rng = np.random.default_rng(11)
@@ -314,8 +384,8 @@ class TestBestCompetitorDifferential:
         np.testing.assert_array_equal(got.experts, reference_best_path(losses, k))
 
     def test_crossover_splits_the_cases(self):
-        # the crossover moves with the switch budget; the float form's
-        # one-byte origins need M < 256 at every budget
+        # the crossover moves with the switch budget, and the array form
+        # plays every game of 255 experts or more at every budget
         bounds = [first_array_m(k) for k in range(200)]
         assert bounds[0] < bounds[5] < bounds[2] < bounds[1] <= 254
         assert not any(_float_dp_is_faster(m, k) for m in (255, 256, 1024) for k in range(200))
@@ -344,7 +414,7 @@ class TestBestCompetitorDifferential:
             (6, 3, 10), (6, AT, 5), (6, BELOW, 6),  # budget at or past T - 1
             (300, 2, 1), (300, 4, 2), (200, 7, 5),
             (120, BELOW, 2), (120, AT, 2), (80, 64, 3),
-            (60, 256, 2), (40, 300, 3),  # uint16 origins
+            (60, 256, 2), (40, 300, 3),  # source arms past 255
         ],
     )
     def test_matches_reference(self, kind, horizon, m, k):
@@ -361,7 +431,7 @@ class TestBestCompetitorDifferential:
 
     @pytest.mark.parametrize("m", [256, 300])
     def test_switch_from_an_arm_past_255(self, m):
-        # the move 1 + a' out of the last arm needs two-byte origins
+        # the switch out of the last arm names a source arm past 255
         losses = np.ones((6, m))
         losses[:3, -1] = losses[3:, 0] = 0.0
         self.check(losses, 1)

@@ -1,15 +1,24 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from partialmix import evaluation
-from partialmix.classnet import CompetitorSequence, TableKernel, fixed_kernel
+from partialmix.classnet import (
+    CompetitorSequence,
+    TableKernel,
+    fixed_kernel,
+    fixed_share_kernel,
+)
 from partialmix.environment import (
     CompetitorSpec,
     ConstantFeedback,
     GameTranscript,
+    PiecewiseLosses,
+    ScriptedFeedback,
     ScriptedLosses,
     bandit_feedback,
     full_feedback_process,
@@ -24,11 +33,12 @@ from partialmix.evaluation import (
     check_lemmas,
     fit_scaling,
     monte_carlo,
+    play_and_score,
     realized_regret,
     theoretical_bound,
 )
-from partialmix.feedback import FeedbackMatrix
-from partialmix.learner import LearnerConfig, epsilon_schedule
+from partialmix.feedback import FeedbackMatrix, full_feedback, identity_feedback
+from partialmix.learner import LearnerConfig, epsilon_schedule, init_state, step
 
 
 def forced_arm_config():
@@ -280,19 +290,23 @@ class TestCheckLemmas:
 class TestObservationFloorBlocks:
     """The block-wise ``observation_floor`` verdict against ``_verdict`` on
     the flat (T*M) arrays, on hand-built transcripts whose other columns
-    are zero, so only ``epsilon`` and ``o`` matter."""
+    are zero, so only ``epsilon`` and ``o`` matter. ``o`` is written
+    through ``q`` under identity feedback, where the two are one column,
+    and as a column of its own otherwise."""
 
     @staticmethod
-    def transcript(epsilon, o):
+    def transcript(epsilon, o, identity):
         horizon, m = o.shape
         config = LearnerConfig(kernel=fixed_kernel(m), w_budget=1.0)
         tr = GameTranscript(config, 0, np.zeros((horizon, m)), (0.0, 1.0))
-        for name in ("V", "D", "v", "d", "phi"):
+        assert tr.o is tr.q  # as under identity feedback
+        if not identity:
+            tr.o = np.empty_like(tr.q)
+        for name in ("V", "D", "v", "d", "phi", "p_phi", "q"):
             getattr(tr, name)[:] = 0.0
         tr.eta[:] = math.nan
-        tr.p[:] = 1.0 / m
         tr.epsilon[:] = epsilon
-        tr.o[:] = o
+        (tr.q if identity else tr.o)[:] = o
         competitor = CompetitorSequence.from_experts(np.zeros(horizon, dtype=int), config.kernel)
         return check_lemmas(tr, competitor)["observation_floor"]
 
@@ -341,12 +355,136 @@ class TestObservationFloorBlocks:
         for mark, (i, floor, value) in enumerate(marks):
             epsilon[rows[i]] = floor * m
             o[rows[i], (mark * 7) % m] = value  # not always the same column
-        got = self.transcript(epsilon, o)
         flat = evaluation._verdict(
             "observation_floor", np.broadcast_to(epsilon[:, None] / m, o.shape).ravel(), o.ravel()
         )
-        assert repr(got) == repr(flat)
-        assert repr((got.lhs, got.rhs, got.slack, got.passed)) == repr((lhs, rhs, slack, passed))
+        for identity in (True, False):
+            got = self.transcript(epsilon, o, identity)
+            assert repr(got) == repr(flat)
+            got_fields = (got.lhs, got.rhs, got.slack, got.passed)
+            assert repr(got_fields) == repr((lhs, rhs, slack, passed))
+
+
+def dense_verdicts(tr, p, o, phi, competitor):
+    """The four verdicts from whole-game (T, M) columns: the tracking sum
+    through ``einsum`` over dense ``p`` and ``phi``, the floor over the
+    flat ``o``."""
+    config, horizon, m = tr.config, tr.horizon, tr.config.n_experts
+    gamma, kernel = config.gamma, config.kernel
+    sqrt_v = np.sqrt(tr.V)
+    sqrt_vd = np.sqrt(tr.V + tr.D * tr.D)
+    terms = np.where(np.isnan(tr.eta), 0.0, 0.5 * tr.eta * tr.v)
+    prev_eta = np.concatenate(([math.nan], tr.eta[:-1]))
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(np.isnan(tr.eta) | np.isnan(prev_eta), 1.0, tr.eta / prev_eta)
+    assert ratio.max() <= 1.0
+    inst = np.einsum("tm,tm->t", p, phi) - phi[np.arange(horizon), competitor.experts]
+    log_counts = np.full(horizon, math.log(kernel.class_count(horizon)))
+    log_counts[0] = math.log(kernel.class_count(1))
+    w_prefix = log_counts - np.cumsum(kernel.path_log_factors(competitor.classes))
+    verdict = evaluation._verdict
+    return evaluation.LemmaDiagnostics((
+        verdict("variance_sum", np.cumsum(terms), gamma * sqrt_v),
+        verdict("rate_drop", np.cumsum((1.0 - ratio) * tr.d), sqrt_vd),
+        verdict(
+            "tracking",
+            np.cumsum(inst),
+            ((w_prefix + gamma) / gamma) * sqrt_vd + gamma * sqrt_v,
+        ),
+        verdict("observation_floor", np.repeat(tr.epsilon / m, m), o.ravel()),
+    ))
+
+
+class TestTranscriptColumns:
+    """A game keeps ``p . phi`` in place of ``p``, and ``o`` only where it
+    differs from ``q``. Replays through ``learner.step`` keep the dense
+    ``p``, ``o`` and ``phi``; the stored columns and all four verdicts must
+    equal what the dense columns give, bit for bit."""
+
+    @staticmethod
+    def feedback(kind, m, horizon, rng):
+        def dirichlet():
+            return FeedbackMatrix(np.vstack([rng.dirichlet(np.ones(m)) for _ in range(m)]))
+
+        if kind == "bandit":
+            return bandit_feedback(m)
+        if kind == "full":
+            return full_feedback_process(m)
+        if kind == "dirichlet":
+            return ConstantFeedback(dirichlet())
+        cycle = [identity_feedback(m), full_feedback(m), dirichlet(), dirichlet()]
+        return ScriptedFeedback([cycle[t % 4] for t in range(horizon)])
+
+    @staticmethod
+    def replay(config, loss_process, feedback_process, horizon, seed):
+        """Play the game ``run_game`` plays on ``seed``, keeping dense columns."""
+        m = config.n_experts
+        loss_seq, play_seq = np.random.SeedSequence(seed).spawn(2)
+        losses = loss_process.generate(horizon, np.random.default_rng(loss_seq))
+        rng = np.random.default_rng(play_seq)
+        state = init_state(config)
+        p, o, phi = np.empty((3, horizon, m))
+        reveals = np.empty(horizon, dtype=int)
+        for i in range(horizon):
+            row = losses[i].tolist()
+            matrix = feedback_process.matrix_at(i + 1)
+            ctx, _, indicators, phi[i], _, state = step(
+                state, config, matrix, row.__getitem__, rng
+            )
+            p[i], o[i] = ctx.p, ctx.o
+            reveals[i] = indicators.sum()
+        return p, o, phi, reveals
+
+    @pytest.mark.parametrize("kind", ["bandit", "full", "dirichlet", "mixed"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 17, 256])
+    def test_matches_the_dense_columns(self, kind, m):
+        horizon = 40 if m == 256 else 90
+        rng = np.random.default_rng(m * 10 + len(kind))
+        config = LearnerConfig(kernel=fixed_share_kernel(m, 0.05), w_budget=20.0)
+        loss_process = PiecewiseLosses(m, (0.0, 1.0), [0, m // 2, m - 1], [1 / 3, 2 / 3])
+        feedback_process = self.feedback(kind, m, horizon, rng)
+        tr = run_game(config, loss_process, feedback_process, horizon, seed=m)
+        p, o, phi, reveals = self.replay(config, loss_process, feedback_process, horizon, m)
+
+        assert (tr.o is tr.q) == (kind == "bandit")
+        if kind in ("dirichlet", "mixed"):
+            assert {0, 1} <= set(reveals) and reveals.max() > 1
+        assert tr.p_phi.tobytes() == np.einsum("tm,tm->t", p, phi).tobytes()
+        assert tr.o.tobytes() == o.tobytes()
+        assert tr.phi.tobytes() == phi.tobytes()
+        competitor = resolve_competitor(
+            CompetitorSpec("best_k_switch", switches=2), tr.losses, config.kernel
+        )
+        got = check_lemmas(tr, competitor)
+        assert got.all_passed
+        assert repr(got) == repr(dense_verdicts(tr, p, o, phi, competitor))
+
+
+class TestDiagnosedGameMemory:
+    @pytest.mark.parametrize("competitor", [
+        CompetitorSpec("best_fixed"), CompetitorSpec("best_k_switch", switches=2),
+    ])
+    def test_peak_stays_below_five_columns(self, competitor):
+        # a game with its diagnostics keeps three (T, M) float columns
+        # (losses, q, phi) and block-sized temporaries, under five in all
+        m, horizon = 256, 1000
+        bundle = ExperimentBundle(
+            LearnerConfig(kernel=fixed_share_kernel(m, 1e-3), w_budget=100.0),
+            PiecewiseLosses(m, (0.0, 1.0), [17, 130, 241], [1 / 3, 2 / 3]),
+            bandit_feedback(m),
+            horizon,
+            competitor,
+        )
+        # a two-round game first fills the kernel's caches, so that the
+        # traced peak does not depend on which test ran before
+        play_and_score(dataclasses.replace(bundle, horizon=2), 1, with_diagnostics=True)
+        tracemalloc.start()
+        try:
+            play_and_score(bundle, 1, with_diagnostics=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * horizon * m * 8
 
 
 class TestMonteCarlo:
