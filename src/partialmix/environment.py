@@ -229,10 +229,9 @@ class GameTranscript:
 
     (T,) columns: ``epsilon``, ``eta`` (NaN while the rate is unset),
     ``psi``, ``V``, ``D``, ``v``, ``d``, ``selected``, ``selected_loss``
-    (the loss incurred, revealed or not) and ``p_phi`` (``p_t . phi_t``).
-    (T, M) columns: ``q``, ``o`` (``q`` itself while every round played has
-    identity feedback; a writer of other ``o`` rows gives it an array of its
-    own), ``phi`` and the int8 observation ``indicators``.
+    (the loss incurred, revealed or not), ``p_phi`` (``p_t . phi_t``) and
+    ``o_min`` (the round's smallest observation probability).
+    (T, M) columns: ``q``, ``phi`` and the int8 observation ``indicators``.
     """
 
     config: LearnerConfig
@@ -243,10 +242,9 @@ class GameTranscript:
     def __post_init__(self) -> None:
         horizon, m = self.losses.shape
         (self.epsilon, self.eta, self.psi, self.V, self.D, self.v, self.d,
-         self.selected_loss, self.p_phi) = np.empty((9, horizon))
+         self.selected_loss, self.p_phi, self.o_min) = np.empty((10, horizon))
         self.selected = np.empty(horizon, dtype=int)
         self.q, self.phi = np.empty((2, horizon, m))
-        self.o = self.q  # until run_game meets a matrix that is not an identity
         self.indicators = np.empty((horizon, m), dtype=np.int8)
 
     @property
@@ -323,11 +321,8 @@ def run_game(
         # phi is an exact zero off the revealed losses: one reveal, one product
         tr.p_phi[i] = (ctx.p[queried[0]] * phi[queried[0]] if len(queried) == 1
                        else np.einsum("m,m->", ctx.p, phi))
+        tr.o_min[i] = ctx.o_min
         tr.q[i] = ctx.q
-        if tr.o is tr.q and not matrix.is_identity:
-            tr.o = tr.q.copy()  # identity feedback observed each loss with its q
-        if tr.o is not tr.q:
-            tr.o[i] = ctx.o
         tr.phi[i] = phi
         tr.indicators[i] = indicators
     return tr

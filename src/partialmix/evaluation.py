@@ -27,8 +27,6 @@ from .environment import (
 from .learner import LearnerConfig
 
 RELATIVE_TOLERANCE = 1e-8
-# entries per block of the observation-floor verdict
-FLOOR_BLOCK_ENTRIES = 1 << 16
 Z_95 = 1.959963984540054
 
 
@@ -92,7 +90,9 @@ def check_lemmas(
     ``tracking``: cumulative estimate regret against the competitor versus
     its complexity bound.
     ``observation_floor``: ``o_{t,m} >= epsilon_t / M`` for every round and
-    expert.
+    expert, read off each round's smallest ``o_{t,m}``. The slack is
+    monotone in ``o`` on ``o >= 0``, and ``prepare_round`` rejects every
+    other value, so a round's worst entry is its minimum.
     """
     horizon = transcript.horizon
     if len(competitor) != horizon:
@@ -104,7 +104,7 @@ def check_lemmas(
     m = transcript.config.n_experts
     eta, v, d = transcript.eta, transcript.v, transcript.d
     v_run, d_run = transcript.V, transcript.D
-    phi, o = transcript.phi, transcript.o
+    phi = transcript.phi
 
     sqrt_v = np.sqrt(v_run)
     sqrt_vd = np.sqrt(v_run + d_run * d_run)
@@ -139,20 +139,9 @@ def check_lemmas(
         ((w_prefix + gamma) / gamma) * sqrt_vd + gamma * sqrt_v,
     )
 
-    # the (T, M) verdict, one row block at a time: argmin over the block
-    # verdicts keeps the flat argmin's first minimum and first NaN, and no
-    # temporary spans the whole game
-    floor = transcript.epsilon / m
-    rows = max(1, FLOOR_BLOCK_ENTRIES // m)
-    blocks = [
-        _verdict(
-            "observation_floor",
-            np.repeat(floor[start:start + rows], m),
-            o[start:start + rows].ravel(),
-        )
-        for start in range(0, horizon, rows)
-    ]
-    observation_floor = blocks[int(np.argmin([b.slack for b in blocks]))]
+    observation_floor = _verdict(
+        "observation_floor", transcript.epsilon / m, transcript.o_min
+    )
 
     return LemmaDiagnostics((variance_sum, rate_drop, tracking, observation_floor))
 

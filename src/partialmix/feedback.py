@@ -66,11 +66,6 @@ class FeedbackMatrix:
     def n_experts(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def is_identity(self) -> bool:
-        """A strict identity: the observation probabilities are ``q``."""
-        return self._identity
-
 
 def identity_feedback(n_experts: int) -> FeedbackMatrix:
     """Bandit feedback: only the selected expert's loss is revealed."""

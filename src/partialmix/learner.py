@@ -143,12 +143,14 @@ def init_state(config: LearnerConfig) -> LearnerState:
 
 
 class RoundContext(NamedTuple):
-    """Pre-selection quantities of one round."""
+    """Pre-selection quantities of one round; ``o_min`` is the smallest
+    observation probability, the entry the floor check reads."""
 
     epsilon: float
     p: np.ndarray
     q: np.ndarray
     o: np.ndarray
+    o_min: float
 
 
 class RateUpdate(NamedTuple):
@@ -215,8 +217,9 @@ def prepare_round(
 ) -> RoundContext:
     """Compute the pre-selection quantities: the class-network marginals
     ``p``, their mixture ``q`` with the uniform floor ``epsilon_t / M``, and
-    the observation probabilities ``o``. Checks the observation floor
-    ``o_m >= epsilon_t / M`` that a validated scheme guarantees."""
+    the observation probabilities ``o`` and their minimum ``o_min``. Checks
+    the observation floor ``o_m >= epsilon_t / M`` that a validated scheme
+    guarantees."""
     eps = config.epsilon_at(state.t)
     p = expert_marginals(state.weights, config.kernel)
     q = (1.0 - eps) * p + eps / len(p)
@@ -224,17 +227,18 @@ def prepare_round(
     floor = eps / config.n_experts
     # one index lookup, which is the min or the first NaN; a NaN fails the
     # comparison too and is named here
-    if not o[o.argmin()] >= floor * (1.0 - OBSERVATION_FLOOR_SLACK):
-        if np.isnan(o).any():
+    o_min = o[o.argmin()]
+    if not o_min >= floor * (1.0 - OBSERVATION_FLOOR_SLACK):
+        if np.isnan(o_min):
             raise RuntimeError(
                 f"observation probability {int(np.isnan(o).argmax())} is NaN at round "
                 f"{state.t}, so the floor {floor:.6g} cannot hold; the feedback scheme is invalid"
             )
         raise RuntimeError(
-            f"observation probability {o.min():.6g} fell below the floor "
+            f"observation probability {o_min:.6g} fell below the floor "
             f"{floor:.6g} at round {state.t}; the feedback scheme is invalid"
         )
-    return RoundContext(eps, p, q, o)
+    return RoundContext(eps, p, q, o, o_min)
 
 
 def finish_round(

@@ -14,7 +14,7 @@ from partialmix.classnet import fixed_share_kernel
 from partialmix.cli import main
 from partialmix.environment import CompetitorSpec, PiecewiseLosses, bandit_feedback, run_game
 from partialmix.evaluation import ExperimentBundle, fit_scaling, monte_carlo
-from partialmix.feedback import FeedbackMatrix
+from partialmix.feedback import FeedbackMatrix, observation_probabilities
 from partialmix.learner import LearnerConfig, estimate
 from partialmix.oracle import exact_expected_regret
 from partialmix.validation import affine_pair, lemma_suite, oracle_equivalence_suite
@@ -97,7 +97,8 @@ class TestAcceptance:
         for t in rounds:
             psi_prev = transcript.psi[t - 2] if t > 1 else math.inf
             row = transcript.losses[t - 1]
-            q, o = transcript.q[t - 1], transcript.o[t - 1]
+            q = transcript.q[t - 1]
+            o = observation_probabilities(matrix, q)  # the bytes the learner used
             sel = np.searchsorted(np.cumsum(q), rng.random(resamples), side="right")
             sel = np.minimum(sel, m - 1)
             indicators = rng.random((resamples, m)) < matrix.entries[:, sel].T

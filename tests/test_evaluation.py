@@ -287,38 +287,24 @@ class TestCheckLemmas:
         assert tracking.lhs >= 0.25 * tracking.rhs
 
 
-class TestObservationFloorBlocks:
-    """The block-wise ``observation_floor`` verdict against ``_verdict`` on
+class TestObservationFloorPerRound:
+    """The per-round ``observation_floor`` verdict against ``_verdict`` on
     the flat (T*M) arrays, on hand-built transcripts whose other columns
-    are zero, so only ``epsilon`` and ``o`` matter. ``o`` is written
-    through ``q`` under identity feedback, where the two are one column,
-    and as a column of its own otherwise."""
+    are zero, so only ``epsilon`` and ``o_min`` matter. ``o_min`` holds
+    each row's first minimum, as ``prepare_round`` records it."""
 
     @staticmethod
-    def transcript(epsilon, o, identity):
+    def verdict(epsilon, o):
         horizon, m = o.shape
         config = LearnerConfig(kernel=fixed_kernel(m), w_budget=1.0)
         tr = GameTranscript(config, 0, np.zeros((horizon, m)), (0.0, 1.0))
-        assert tr.o is tr.q  # as under identity feedback
-        if not identity:
-            tr.o = np.empty_like(tr.q)
         for name in ("V", "D", "v", "d", "phi", "p_phi", "q"):
             getattr(tr, name)[:] = 0.0
         tr.eta[:] = math.nan
         tr.epsilon[:] = epsilon
-        (tr.q if identity else tr.o)[:] = o
+        tr.o_min[:] = o[np.arange(horizon), o.argmin(axis=1)]
         competitor = CompetitorSequence.from_experts(np.zeros(horizon, dtype=int), config.kernel)
         return check_lemmas(tr, competitor)["observation_floor"]
-
-    @staticmethod
-    def marked_rows(horizon, m):
-        """Three rows in three different blocks when the game spans three,
-        else three rows of its one block."""
-        rows = max(1, evaluation.FLOOR_BLOCK_ENTRIES // m)
-        if horizon > 2 * rows:
-            return [rows // 2, rows + rows // 2, 2 * rows + rows // 2]
-        assert horizon * m <= evaluation.FLOOR_BLOCK_ENTRIES
-        return [horizon // 5, horizon // 2, 4 * horizon // 5]
 
     # the marked entries as (row, epsilon / M, o), and the expected (lhs,
     # rhs, slack, passed); every other entry has o = 100 and slack near 1
@@ -335,21 +321,10 @@ class TestObservationFloorBlocks:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize(
-        "horizon, m, block_entries",
-        [
-            (50, 4, None),  # one block
-            (700, 256, None),
-            (45_000, 4, None),
-            (60_000, 3, None),
-            (3, 6, 4),  # fewer entries per block than M: one row each
-        ],
-    )
-    def test_matches_the_flat_verdict(self, monkeypatch, horizon, m, block_entries, case):
-        if block_entries is not None:
-            monkeypatch.setattr(evaluation, "FLOOR_BLOCK_ENTRIES", block_entries)
+    @pytest.mark.parametrize("horizon, m", [(50, 4), (700, 256), (3, 6)])
+    def test_matches_the_flat_verdict(self, horizon, m, case):
         marks, (lhs, rhs, slack, passed) = self.CASES[case]
-        rows = self.marked_rows(horizon, m)
+        rows = [horizon // 5, horizon // 2, 4 * horizon // 5]
         epsilon = np.full(horizon, 0.5)
         o = np.full((horizon, m), 100.0)
         for mark, (i, floor, value) in enumerate(marks):
@@ -358,11 +333,9 @@ class TestObservationFloorBlocks:
         flat = evaluation._verdict(
             "observation_floor", np.broadcast_to(epsilon[:, None] / m, o.shape).ravel(), o.ravel()
         )
-        for identity in (True, False):
-            got = self.transcript(epsilon, o, identity)
-            assert repr(got) == repr(flat)
-            got_fields = (got.lhs, got.rhs, got.slack, got.passed)
-            assert repr(got_fields) == repr((lhs, rhs, slack, passed))
+        got = self.verdict(epsilon, o)
+        assert repr(got) == repr(flat)
+        assert repr((got.lhs, got.rhs, got.slack, got.passed)) == repr((lhs, rhs, slack, passed))
 
 
 def dense_verdicts(tr, p, o, phi, competitor):
@@ -396,10 +369,11 @@ def dense_verdicts(tr, p, o, phi, competitor):
 
 
 class TestTranscriptColumns:
-    """A game keeps ``p . phi`` in place of ``p``, and ``o`` only where it
-    differs from ``q``. Replays through ``learner.step`` keep the dense
-    ``p``, ``o`` and ``phi``; the stored columns and all four verdicts must
-    equal what the dense columns give, bit for bit."""
+    """A game keeps ``p . phi`` in place of ``p``, and each round's
+    smallest observation probability in place of ``o``. Replays through
+    ``learner.step`` keep the dense ``p``, ``o`` and ``phi``; the stored
+    columns and all four verdicts must equal what the dense columns give,
+    bit for bit."""
 
     @staticmethod
     def feedback(kind, m, horizon, rng):
@@ -446,11 +420,10 @@ class TestTranscriptColumns:
         tr = run_game(config, loss_process, feedback_process, horizon, seed=m)
         p, o, phi, reveals = self.replay(config, loss_process, feedback_process, horizon, m)
 
-        assert (tr.o is tr.q) == (kind == "bandit")
         if kind in ("dirichlet", "mixed"):
             assert {0, 1} <= set(reveals) and reveals.max() > 1
         assert tr.p_phi.tobytes() == np.einsum("tm,tm->t", p, phi).tobytes()
-        assert tr.o.tobytes() == o.tobytes()
+        assert tr.o_min.tobytes() == o[np.arange(horizon), o.argmin(axis=1)].tobytes()
         assert tr.phi.tobytes() == phi.tobytes()
         competitor = resolve_competitor(
             CompetitorSpec("best_k_switch", switches=2), tr.losses, config.kernel
@@ -461,17 +434,20 @@ class TestTranscriptColumns:
 
 
 class TestDiagnosedGameMemory:
+    @pytest.mark.parametrize("kind", ["bandit", "full", "dirichlet"])
     @pytest.mark.parametrize("competitor", [
         CompetitorSpec("best_fixed"), CompetitorSpec("best_k_switch", switches=2),
     ])
-    def test_peak_stays_below_five_columns(self, competitor):
+    def test_peak_stays_below_four_columns(self, competitor, kind):
         # a game with its diagnostics keeps three (T, M) float columns
-        # (losses, q, phi) and block-sized temporaries, under five in all
+        # (losses, q, phi), the int8 indicators and (T,) temporaries, under
+        # four in all whatever the feedback
         m, horizon = 256, 1000
+        feedback = TestTranscriptColumns.feedback(kind, m, horizon, np.random.default_rng(5))
         bundle = ExperimentBundle(
             LearnerConfig(kernel=fixed_share_kernel(m, 1e-3), w_budget=100.0),
             PiecewiseLosses(m, (0.0, 1.0), [17, 130, 241], [1 / 3, 2 / 3]),
-            bandit_feedback(m),
+            feedback,
             horizon,
             competitor,
         )
@@ -484,7 +460,7 @@ class TestDiagnosedGameMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * horizon * m * 8
+        assert peak < 4 * horizon * m * 8
 
 
 class TestMonteCarlo:
