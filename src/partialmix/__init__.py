@@ -42,11 +42,11 @@ from .evaluation import (
     ExperimentBundle,
     LemmaDiagnostics,
     RegretReport,
-    RunResult,
     check_lemmas,
     fit_scaling,
     monte_carlo,
     realized_regret,
+    regret_bound,
     theoretical_bound,
 )
 from .feedback import (

@@ -47,15 +47,14 @@ class ZeroTransitionError(ClassNetError):
     """A competitor sequence leaves the kernel's support."""
 
 
-def logsumexp(a: np.ndarray, axis: int | None = None):
-    """log(sum(exp(a))) with max-subtraction; tolerates -inf entries."""
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` with max-subtraction; tolerates -inf
+    entries."""
     a = np.asarray(a, dtype=float)
     m = np.max(a, axis=axis, keepdims=True)
     safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         s = np.log(np.exp(a - safe).sum(axis=axis, keepdims=True)) + safe
-    if axis is None:
-        return float(s.reshape(()))
     return np.squeeze(s, axis=axis)
 
 

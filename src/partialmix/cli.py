@@ -24,12 +24,13 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .environment import GameTranscript
 from .evaluation import (
     BatchSummary,
+    BoundValue,
     DegenerateFitError,
     RegretReport,
-    RunResult,
     fit_scaling,
     monte_carlo,
     play_and_score,
+    regret_bound,
     summarize_runs,
 )
 from .validation import run_validation_suite
@@ -88,19 +89,19 @@ def write_rounds_csv(
             handle.write(head_template % (run_index, *head) + q_text)
 
 
-def _report_json(report: RegretReport, seed: int) -> dict:
+def _report_json(report: RegretReport, bound: BoundValue) -> dict:
     payload = {
-        "seed": seed,
+        "seed": report.seed,
         "learner_loss": report.learner_loss,
         "competitor_loss": report.competitor_loss,
-        "realized_regret": report.realized_regret,
+        "realized_regret": report.regret,
         "normalized_regret": report.normalized_regret,
         "loss_range": list(report.loss_range),
         "complexity": report.complexity,
         "w_budget": report.w_budget,
         "budget_exceeded": report.budget_exceeded,
-        "bound_theorem": report.bound.theorem,
-        "bound_cleaner": report.bound.cleaner,
+        "bound_theorem": bound.theorem,
+        "bound_cleaner": bound.cleaner,
     }
     if report.diagnostics is not None:
         payload["diagnostics"] = {
@@ -139,14 +140,16 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
 
 def _cmd_run(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    transcript, competitor, report, _ = play_and_score(
+    transcript, competitor, report = play_and_score(
         cfg.experiment, cfg.seed, with_diagnostics=True
     )
+    # the realized complexity with the budget-driven rate and schedule
+    bound = regret_bound(transcript.config, report.complexity, transcript.epsilon)
     write_rounds_csv(out / "rounds.csv", transcript, competitor, run_index=0)
-    _write_json(out / "report.json", _report_json(report, cfg.seed))
+    _write_json(out / "report.json", _report_json(report, bound))
     print(
-        f"run: seed {cfg.seed}, regret {report.realized_regret:.6g}, "
-        f"normalized {report.normalized_regret:.6g}, bound {report.bound.theorem:.6g}"
+        f"run: seed {cfg.seed}, regret {report.regret:.6g}, "
+        f"normalized {report.normalized_regret:.6g}, bound {bound.theorem:.6g}"
     )
     return 0
 
@@ -154,15 +157,15 @@ def _cmd_run(cfg: ExperimentConfig, args) -> int:
 def _cmd_batch(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     bundle = cfg.experiment
-    results: list[RunResult] = []
+    reports: list[RegretReport] = []
     for i in range(cfg.runs):
-        transcript, competitor, _, result = play_and_score(bundle, cfg.seed + i)
+        transcript, competitor, report = play_and_score(bundle, cfg.seed + i)
         if cfg.write_rounds:
             write_rounds_csv(out / f"run_{i:04d}.csv", transcript, competitor, run_index=i)
         # free this game's transcript before the next one is played
         del transcript, competitor
-        results.append(result)
-    summary = summarize_runs(bundle, results)
+        reports.append(report)
+    summary = summarize_runs(bundle, reports)
     _write_json(out / "batch.json", _summary_json(summary, cfg.seed, bundle.horizon))
     print(
         f"batch: {summary.n_seeds} seeds, mean regret {summary.mean_regret:.6g} "

@@ -441,6 +441,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if len(sweep_horizons) < 1:
             raise ConfigError("sweep.horizons", "needs at least one horizon")
         for i, h in enumerate(sweep_horizons):
+            if h in sweep_horizons[:i]:
+                raise ConfigError(f"sweep.horizons[{i}]", f"horizon {h} is already listed")
             try:
                 _check_horizon(replace(experiment, horizon=h))
             except ConfigError as exc:

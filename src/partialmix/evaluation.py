@@ -35,7 +35,7 @@ class LengthMismatchError(ValueError):
 
 
 class DegenerateFitError(ValueError):
-    """Scaling fit needs at least four horizons with positive regrets."""
+    """Scaling fit needs at least four distinct horizons and positive regrets."""
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def theoretical_bound(
     return BoundValue(theorem=theorem, cleaner=cleaner)
 
 
-def _bound(config: LearnerConfig, w: float, epsilons: np.ndarray) -> BoundValue:
+def regret_bound(config: LearnerConfig, w: float, epsilons: np.ndarray) -> BoundValue:
     """``theoretical_bound`` for a played schedule. A competitor outside the
     kernel's support (infinite ``w``) or an epsilon of 0, whose ``M/eps_T``
     term is infinite, gets no guarantee: the bound is infinite."""
@@ -203,17 +203,19 @@ def _bound(config: LearnerConfig, w: float, epsilons: np.ndarray) -> BoundValue:
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Scorecard of one game against one competitor."""
+    """Scorecard of one seeded game against one competitor. The bound is
+    left to the callers that write one (``regret_bound``)."""
 
+    seed: int
     learner_loss: float
     competitor_loss: float
-    realized_regret: float
+    regret: float
     normalized_regret: float
     loss_range: tuple[float, float]
     complexity: float
+    n_switches: int
     w_budget: float | None
     budget_exceeded: bool
-    bound: BoundValue
     diagnostics: LemmaDiagnostics | None
 
 
@@ -222,9 +224,8 @@ def realized_regret(
     competitor: CompetitorSequence,
     with_diagnostics: bool = True,
 ) -> RegretReport:
-    """Realized regret, its normalized form, the competitor's complexity,
-    and the bound evaluated with the realized complexity but the budget-
-    driven rate and mixture schedule."""
+    """Realized regret, its normalized form and the competitor's
+    complexity, checked against the learner's budget."""
     horizon = transcript.horizon
     if len(competitor) != horizon:
         raise LengthMismatchError(f"transcript has {horizon} rounds, competitor {len(competitor)}")
@@ -248,7 +249,6 @@ def realized_regret(
             "the regret guarantee lapses",
             stacklevel=2,
         )
-    bound = _bound(config, w_realized, transcript.epsilon)
     # out of the kernel's support no inequality applies
     diagnostics = (
         check_lemmas(transcript, competitor)
@@ -256,15 +256,16 @@ def realized_regret(
         else None
     )
     return RegretReport(
+        seed=transcript.seed,
         learner_loss=transcript.cumulative_loss,
         competitor_loss=competitor_loss,
-        realized_regret=regret,
+        regret=regret,
         normalized_regret=regret / (high - low),
         loss_range=(low, high),
         complexity=w_realized,
+        n_switches=competitor.n_switches,
         w_budget=config.w_budget,
         budget_exceeded=budget_exceeded,
-        bound=bound,
         diagnostics=diagnostics,
     )
 
@@ -278,17 +279,6 @@ class ExperimentBundle:
     feedback_process: FeedbackProcess
     horizon: int
     competitor: CompetitorSpec
-
-
-@dataclass(frozen=True)
-class RunResult:
-    seed: int
-    regret: float
-    normalized_regret: float
-    learner_loss: float
-    competitor_loss: float
-    complexity: float
-    n_switches: int
 
 
 @dataclass(frozen=True)
@@ -310,7 +300,7 @@ class BatchSummary:
 
 def play_and_score(
     bundle: ExperimentBundle, seed: int, with_diagnostics: bool = False
-) -> tuple[GameTranscript, CompetitorSequence, RegretReport, RunResult]:
+) -> tuple[GameTranscript, CompetitorSequence, RegretReport]:
     """Play one seeded game, resolve its competitor and score it; the
     inequality diagnostics are checked only when asked for."""
     transcript = run_game(
@@ -322,21 +312,11 @@ def play_and_score(
     )
     kernel = bundle.learner_config.kernel
     competitor = resolve_competitor(bundle.competitor, transcript.losses, kernel)
-    report = realized_regret(transcript, competitor, with_diagnostics)
-    result = RunResult(
-        seed=seed,
-        regret=report.realized_regret,
-        normalized_regret=report.normalized_regret,
-        learner_loss=report.learner_loss,
-        competitor_loss=report.competitor_loss,
-        complexity=report.complexity,
-        n_switches=competitor.n_switches,
-    )
-    return transcript, competitor, report, result
+    return transcript, competitor, realized_regret(transcript, competitor, with_diagnostics)
 
 
-def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchSummary:
-    """Aggregate per-seed results; the bound uses the worst realized
+def summarize_runs(bundle: ExperimentBundle, results: list[RegretReport]) -> BatchSummary:
+    """Aggregate per-seed reports; the bound uses the worst realized
     competitor complexity with the budget-driven schedule."""
     n_seeds = len(results)
     regrets = np.array([r.regret for r in results])
@@ -349,7 +329,7 @@ def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchS
     config = bundle.learner_config
     eps = np.array([config.epsilon_at(t) for t in range(1, bundle.horizon + 1)])
     w_worst = max(r.complexity for r in results)
-    bound = _bound(config, w_worst, eps)
+    bound = regret_bound(config, w_worst, eps)
     return BatchSummary(
         n_seeds=n_seeds,
         mean_regret=mean,
@@ -368,13 +348,13 @@ def summarize_runs(bundle: ExperimentBundle, results: list[RunResult]) -> BatchS
 
 def monte_carlo(
     bundle: ExperimentBundle, n_seeds: int, base_seed: int = 0
-) -> tuple[BatchSummary, list[RunResult]]:
+) -> tuple[BatchSummary, list[RegretReport]]:
     """Play ``n_seeds`` independent games on seeds ``base_seed + i``, one
     after another in this process, and aggregate their regrets.
     Deterministic given the base seed."""
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    results = [play_and_score(bundle, base_seed + i)[3] for i in range(n_seeds)]
+    results = [play_and_score(bundle, base_seed + i)[2] for i in range(n_seeds)]
     return summarize_runs(bundle, results), results
 
 
@@ -382,8 +362,8 @@ def fit_scaling(horizons: np.ndarray, mean_regrets: np.ndarray) -> float:
     """Least-squares slope of log mean regret against log horizon."""
     horizons = np.asarray(horizons, dtype=float)
     mean_regrets = np.asarray(mean_regrets, dtype=float)
-    if horizons.shape != mean_regrets.shape or horizons.size < 4:
-        raise DegenerateFitError("need at least four horizon points")
+    if horizons.shape != mean_regrets.shape or np.unique(horizons).size < 4:
+        raise DegenerateFitError("need at least four distinct horizons")
     if np.any(mean_regrets <= 0.0):
         raise DegenerateFitError("mean regrets must be positive for a log-log fit")
     slope, _ = np.polyfit(np.log(horizons), np.log(mean_regrets), 1)

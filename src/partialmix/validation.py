@@ -146,7 +146,7 @@ def lemma_suite(
     failures = 0
     for i in range(n_configs):
         bundle = random_experiment(rng, horizon)
-        _, _, report, _ = play_and_score(bundle, int(rng.integers(2**31)), with_diagnostics=True)
+        _, _, report = play_and_score(bundle, int(rng.integers(2**31)), with_diagnostics=True)
         diagnostics = report.diagnostics
         worst_slack = min(worst_slack, min(c.slack for c in diagnostics.checks))
         if not diagnostics.all_passed:
@@ -189,19 +189,19 @@ def affine_pair(
         competitor=CompetitorSpec("best_fixed"),
     )
     scaled = ScriptedLosses(scale * base + shift, (shift, scale + shift))
-    base_t, _, base_r, _ = play_and_score(bundle, seed)
-    scaled_t, _, scaled_r, _ = play_and_score(replace(bundle, loss_process=scaled), seed)
+    base_t, _, base_r = play_and_score(bundle, seed)
+    scaled_t, _, scaled_r = play_and_score(replace(bundle, loss_process=scaled), seed)
 
     q_diff = float(np.max(np.abs(base_t.q - scaled_t.q)))
     selections_equal = bool(np.array_equal(base_t.selected, scaled_t.selected))
     indicators_equal = bool(np.array_equal(base_t.indicators, scaled_t.indicators))
-    expected = scale * base_r.realized_regret
+    expected = scale * base_r.regret
     denom = max(abs(expected), 1e-12)
     return AffineComparison(
         q_sup_diff=q_diff,
         selections_equal=selections_equal,
         indicators_equal=indicators_equal,
-        regret_scale_error=abs(scaled_r.realized_regret - expected) / denom,
+        regret_scale_error=abs(scaled_r.regret - expected) / denom,
         normalized_regret_diff=abs(scaled_r.normalized_regret - base_r.normalized_regret),
     )
 

@@ -153,6 +153,6 @@ def test_worker_captures_every_batch_seed(tmp_path, write_rounds):
     assert [r["seed"] for r in captured] == [11, 12]
     experiment = load_config(config_path).experiment
     for r in captured:
-        expected = play_and_score(experiment, r["seed"])[3]
+        expected = play_and_score(experiment, r["seed"])[2]
         for field in CHECKED_FIELDS:
             assert r[field] == getattr(expected, field), field

@@ -508,13 +508,18 @@ class TestLogsumexp:
         )
 
     def test_handles_minus_inf(self):
-        a = np.array([-np.inf, 0.0, math.log(3)])
-        assert logsumexp(a) == pytest.approx(math.log(4))
-        assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+        # a -inf entry in one column, an all--inf column next to it
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [math.log(3), -np.inf]])
+        out = logsumexp(a, axis=0)
+        assert out.shape == (2,)
+        assert out[0] == pytest.approx(math.log(4))
+        assert out[1] == -np.inf
 
     def test_extreme_scale(self):
-        a = np.array([-1e6, -1e6 + math.log(2)])
-        assert logsumexp(a) == pytest.approx(-1e6 + math.log(3), rel=1e-12)
+        a = np.array([[-1e6], [-1e6 + math.log(2)]])
+        out = logsumexp(a, axis=0)
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(-1e6 + math.log(3), rel=1e-12)
 
 
 def _random_switching_sequence(rng, m, horizon, k):

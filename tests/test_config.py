@@ -200,6 +200,15 @@ class TestDiagnostics:
         assert info.value.path == "sweep.horizons[1]"
         assert str(info.value) == f"sweep.horizons[1]: {message}"
 
+    def test_repeated_sweep_horizon(self):
+        # a repeated horizon plays the same batch again and counts as a
+        # further point of the scaling fit
+        raw = base_config(sweep={"horizons": [5, 6, 5, 7]})
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.path == "sweep.horizons[2]"
+        assert str(info.value) == "sweep.horizons[2]: horizon 5 is already listed"
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

@@ -29,12 +29,12 @@ from partialmix.evaluation import (
     DegenerateFitError,
     ExperimentBundle,
     LengthMismatchError,
-    RunResult,
     check_lemmas,
     fit_scaling,
     monte_carlo,
     play_and_score,
     realized_regret,
+    regret_bound,
     theoretical_bound,
 )
 from partialmix.feedback import FeedbackMatrix, full_feedback, identity_feedback
@@ -60,7 +60,7 @@ class TestRealizedRegret:
             CompetitorSpec("fixed", expert=1), transcript.losses, config.kernel
         )
         report = realized_regret(transcript, competitor, with_diagnostics=False)
-        assert report.realized_regret == pytest.approx(2.0, abs=1e-12)
+        assert report.regret == pytest.approx(2.0, abs=1e-12)
         assert report.competitor_loss == 0.0
         assert report.normalized_regret == pytest.approx(2.0, abs=1e-12)
         # arm 1 carries zero prior mass, so the competitor sits outside the
@@ -79,7 +79,7 @@ class TestRealizedRegret:
         )
         competitor = CompetitorSequence.from_experts(transcript.selected, config.kernel)
         report = realized_regret(transcript, competitor, with_diagnostics=False)
-        assert report.realized_regret == pytest.approx(0.0, abs=1e-9)
+        assert report.regret == pytest.approx(0.0, abs=1e-9)
 
     def test_regret_decomposes_per_round(self):
         config = LearnerConfig(kernel=fixed_kernel(3), w_budget=2.3)
@@ -95,7 +95,7 @@ class TestRealizedRegret:
         per_round = values[np.arange(80), transcript.selected] - values[
             np.arange(80), competitor.experts
         ]
-        assert report.realized_regret == pytest.approx(per_round.sum(), abs=1e-9)
+        assert report.regret == pytest.approx(per_round.sum(), abs=1e-9)
 
     def test_budget_exceeded_flagged(self):
         config = LearnerConfig(kernel=fixed_kernel(2), w_budget=0.5)
@@ -497,14 +497,14 @@ class TestMonteCarlo:
         values = np.random.default_rng(11).uniform(size=(30, 2))
         bundle = self.bundle(values)
         _, results = monte_carlo(bundle, 6, base_seed=17)
-        assert results == [evaluation.play_and_score(bundle, 17 + i)[3] for i in range(6)]
+        assert results == [evaluation.play_and_score(bundle, 17 + i)[2] for i in range(6)]
         assert results == monte_carlo(bundle, 6, base_seed=17)[1]
 
     @pytest.mark.parametrize("with_diagnostics", [False, True])
     def test_play_and_score_composes_game_competitor_and_report(self, with_diagnostics):
         values = np.random.default_rng(13).uniform(size=(20, 2))
         bundle = self.bundle(values, CompetitorSpec("best_fixed"))
-        transcript, competitor, report, result = evaluation.play_and_score(
+        transcript, competitor, report = evaluation.play_and_score(
             bundle, 9, with_diagnostics
         )
         config = bundle.learner_config
@@ -514,15 +514,22 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(competitor.experts, best.experts)
         assert report == realized_regret(game, best, with_diagnostics)
         assert (report.diagnostics is not None) == with_diagnostics
-        assert result == RunResult(
-            seed=9,
-            regret=report.realized_regret,
-            normalized_regret=report.normalized_regret,
-            learner_loss=report.learner_loss,
-            competitor_loss=report.competitor_loss,
-            complexity=report.complexity,
-            n_switches=competitor.n_switches,
-        )
+        assert report.seed == 9
+        assert report.n_switches == competitor.n_switches
+
+    def test_batch_evaluates_the_bound_once(self, monkeypatch):
+        # the per-seed reports carry no bound; only the summary writes one
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return theoretical_bound(*args)
+
+        monkeypatch.setattr(evaluation, "theoretical_bound", counting)
+        values = np.random.default_rng(14).uniform(size=(10, 2))
+        summary, reports = monte_carlo(self.bundle(values), 5)
+        assert len(reports) == 5 and len(calls) == 1
+        assert summary.bound == theoretical_bound(*calls[0])
 
 
 class TestSingleExpert:
@@ -546,11 +553,11 @@ class TestSingleExpert:
             horizon=40,
             competitor=CompetitorSpec("best_fixed"),
         )
-        transcript, _, report, _ = evaluation.play_and_score(bundle, 3, with_diagnostics=True)
+        transcript, _, report = evaluation.play_and_score(bundle, 3, with_diagnostics=True)
         assert np.all(transcript.selected == 0) and np.all(transcript.q == 1.0)
         # the learner's loss is a round-by-round fold and the competitor's a
         # numpy sum, so equal plays can differ in the last bits
-        assert report.realized_regret == pytest.approx(0.0, abs=1e-12)
+        assert report.regret == pytest.approx(0.0, abs=1e-12)
         assert report.diagnostics.all_passed, report.diagnostics.checks
 
 
@@ -571,10 +578,11 @@ class TestZeroEpsilonStrictFeedback:
             horizon=2000,
             competitor=CompetitorSpec("best_fixed"),
         )
-        transcript, _, report, _ = evaluation.play_and_score(bundle, seed, with_diagnostics=True)
-        assert np.all(np.isfinite(transcript.q)) and math.isfinite(report.realized_regret)
+        transcript, _, report = evaluation.play_and_score(bundle, seed, with_diagnostics=True)
+        assert np.all(np.isfinite(transcript.q)) and math.isfinite(report.regret)
         # the bound's M/eps_T term is infinite at eps = 0
-        assert report.bound.theorem == report.bound.cleaner == math.inf
+        bound = regret_bound(transcript.config, report.complexity, transcript.epsilon)
+        assert bound.theorem == bound.cleaner == math.inf
         assert len(report.diagnostics.checks) == 4
         assert report.diagnostics.all_passed, report.diagnostics.checks
 
@@ -586,6 +594,12 @@ class TestFitScaling:
             2 / 3, abs=1e-9
         )
         assert fit_scaling(horizons, 0.5 * horizons) == pytest.approx(1.0, abs=1e-9)
+
+    def test_repeated_horizons_are_one_point(self):
+        # four entries but two distinct horizons: a line through two points
+        horizons = np.array([50.0, 50.0, 100.0, 100.0])
+        with pytest.raises(DegenerateFitError, match="four distinct horizons"):
+            fit_scaling(horizons, np.array([1.0, 1.1, 2.0, 2.1]))
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateFitError):
