@@ -45,6 +45,7 @@ from .evaluation import (
     check_lemmas,
     fit_scaling,
     monte_carlo,
+    play_seeds,
     realized_regret,
     regret_bound,
     theoretical_bound,

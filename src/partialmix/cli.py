@@ -30,6 +30,7 @@ from .evaluation import (
     fit_scaling,
     monte_carlo,
     play_and_score,
+    play_seeds,
     regret_bound,
     summarize_runs,
 )
@@ -158,11 +159,12 @@ def _cmd_batch(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     bundle = cfg.experiment
     reports: list[RegretReport] = []
-    for i in range(cfg.runs):
-        transcript, competitor, report = play_and_score(bundle, cfg.seed + i)
+    for transcript, competitor, report in play_seeds(bundle, cfg.runs, cfg.seed):
         if cfg.write_rounds:
+            i = report.seed - cfg.seed
             write_rounds_csv(out / f"run_{i:04d}.csv", transcript, competitor, run_index=i)
-        # free this game's transcript before the next one is played
+        # free this game's transcript before the next one is played (an
+        # enumerate() or zip() around the seeds would keep it in its tuple)
         del transcript, competitor
         reports.append(report)
     summary = summarize_runs(bundle, reports)
@@ -179,47 +181,31 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         raise ConfigError("sweep", "the sweep subcommand needs a sweep.horizons list")
     out = _out_dir(cfg, args)
     runs = args.runs or cfg.sweep_runs or cfg.runs
+    # each horizon's batch.json record; every output below is read off it
     rows = []
     for horizon in cfg.sweep_horizons:
         bundle = dataclasses.replace(cfg.experiment, horizon=horizon)
         summary, _ = monte_carlo(bundle, runs, base_seed=cfg.seed)
-        rows.append((horizon, summary))
+        rows.append(_summary_json(summary, cfg.seed, horizon))
         print(
             f"sweep: T {horizon}, mean regret {summary.mean_regret:.6g} "
             f"(se {summary.std_error:.3g})"
         )
-    header = [
-        "T", "mean_regret", "std_error", "ci_low", "ci_high",
-        "mean_normalized_regret", "bound",
-    ]
-    lines = [",".join(header)]
-    for horizon, summary in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(horizon),
-                    _fmt(summary.mean_regret),
-                    _fmt(summary.std_error),
-                    _fmt(summary.confidence_interval[0]),
-                    _fmt(summary.confidence_interval[1]),
-                    _fmt(summary.mean_normalized_regret),
-                    _fmt(summary.bound.theorem),
-                ]
-            )
-        )
+    lines = ["T,mean_regret,std_error,ci_low,ci_high,mean_normalized_regret,bound"]
+    for row in rows:
+        values = [row["mean_regret"], row["std_error"], *row["confidence_interval"]]
+        values += [row["mean_normalized_regret"], row["bound_theorem"]]
+        lines.append(",".join([str(row["horizon"]), *map(_fmt, values)]))
     (out / "scaling.csv").write_text("\n".join(lines) + "\n")
     payload = {
         "base_seed": cfg.seed,
         "runs_per_horizon": runs,
-        "horizons": [h for h, _ in rows],
-        "mean_regrets": [s.mean_regret for _, s in rows],
-        "bounds": [s.bound.theorem for _, s in rows],
+        "horizons": [row["horizon"] for row in rows],
+        "mean_regrets": [row["mean_regret"] for row in rows],
+        "bounds": [row["bound_theorem"] for row in rows],
     }
     try:
-        slope = fit_scaling(
-            np.array([h for h, _ in rows], dtype=float),
-            np.array([s.mean_regret for _, s in rows]),
-        )
+        slope = fit_scaling(payload["horizons"], payload["mean_regrets"])
         payload["slope"] = slope
         print(f"sweep: fitted log-log slope {slope:.4f}")
     except DegenerateFitError as exc:

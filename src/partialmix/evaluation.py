@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,9 +316,23 @@ def play_and_score(
     return transcript, competitor, realized_regret(transcript, competitor, with_diagnostics)
 
 
+def play_seeds(
+    bundle: ExperimentBundle, n_seeds: int, base_seed: int = 0
+) -> Iterator[tuple[GameTranscript, CompetitorSequence, RegretReport]]:
+    """Play seeds ``base_seed + i`` in turn and yield each game's
+    transcript, competitor and report; ``n_seeds`` is checked at the call.
+    The loop keeps nothing of a yielded game, so a caller that drops each
+    transcript before asking for the next holds one game at a time."""
+    if n_seeds < 1:
+        raise ValueError("need at least one seed")
+    return (play_and_score(bundle, base_seed + i) for i in range(n_seeds))
+
+
 def summarize_runs(bundle: ExperimentBundle, results: list[RegretReport]) -> BatchSummary:
     """Aggregate per-seed reports; the bound uses the worst realized
     competitor complexity with the budget-driven schedule."""
+    if not results:
+        raise ValueError("need at least one report")
     n_seeds = len(results)
     regrets = np.array([r.regret for r in results])
     normalized = np.array([r.normalized_regret for r in results])
@@ -349,16 +364,13 @@ def summarize_runs(bundle: ExperimentBundle, results: list[RegretReport]) -> Bat
 def monte_carlo(
     bundle: ExperimentBundle, n_seeds: int, base_seed: int = 0
 ) -> tuple[BatchSummary, list[RegretReport]]:
-    """Play ``n_seeds`` independent games on seeds ``base_seed + i``, one
-    after another in this process, and aggregate their regrets.
-    Deterministic given the base seed."""
-    if n_seeds < 1:
-        raise ValueError("need at least one seed")
-    results = [play_and_score(bundle, base_seed + i)[2] for i in range(n_seeds)]
+    """Play ``n_seeds`` games through ``play_seeds`` and aggregate their
+    regrets. Deterministic given the base seed."""
+    results = [report for _, _, report in play_seeds(bundle, n_seeds, base_seed)]
     return summarize_runs(bundle, results), results
 
 
-def fit_scaling(horizons: np.ndarray, mean_regrets: np.ndarray) -> float:
+def fit_scaling(horizons: Sequence[float], mean_regrets: Sequence[float]) -> float:
     """Least-squares slope of log mean regret against log horizon."""
     horizons = np.asarray(horizons, dtype=float)
     mean_regrets = np.asarray(mean_regrets, dtype=float)

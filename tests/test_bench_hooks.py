@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from partialmix import environment
+from partialmix import cli, environment
 from partialmix.classnet import fixed_share_kernel
 from partialmix.config import load_config
 from partialmix.evaluation import ExperimentBundle, monte_carlo, play_and_score
@@ -105,6 +105,34 @@ def test_traced_batch_counts_one_step_per_round(tracer_module):
     # bandit feedback reveals exactly the selected loss each round
     assert layers["feedback.revealed_losses"] == runs * horizon
     assert layers["environment.best_competitor_s"] > 0.0
+
+
+def test_traced_cli_batch_counts_one_step_per_round(tracer_module, tmp_path):
+    # the benchmark's switching-batch workload counts its rounds through
+    # the CLI's batch command, which plays its seeds through play_seeds
+    runs, horizon = 2, 20
+    config = {
+        "experts": 3,
+        "horizon": horizon,
+        "kernel": {"type": "fixed_share", "alpha": 0.05},
+        "w_budget": 12.0,
+        "loss": {"kind": "piecewise", "range": [0.0, 1.0], "best_arms": [1, 2], "boundaries": [0.5]},
+        "feedback": {"kind": "bandit"},
+        "competitor": {"kind": "best_k_switch", "switches": 1},
+        "seed": 3,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["batch", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert cli.main([*argv, "--runs", str(runs)]) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    assert layers["environment.run_game_calls"] == runs
+    assert layers["learner.step_calls"] == runs * horizon
 
 
 @pytest.mark.parametrize("write_rounds", [False, True])

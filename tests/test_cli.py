@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from partialmix import (
     run_game,
 )
 from partialmix.cli import _fmt, main, write_rounds_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, **overrides):
@@ -299,6 +302,33 @@ class TestBatch:
             assert batch_row.startswith(b"1,") and run_row.startswith(b"0,")
             assert batch_row[2:] == run_row[2:]
 
+    @pytest.mark.filterwarnings("ignore:competitor complexity")
+    def test_a_batch_holds_one_game_at_a_time(self, tmp_path):
+        # each seed's transcript is freed before the next seed plays, so
+        # three seeds peak where one does; a batch that kept the last game
+        # while the next one played (an enumerate() around the seeds)
+        # would peak near twice as high
+        config = json.loads((ROOT / "configs" / "bandit_switching.json").read_text())
+        config["horizon"] = 4000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+
+        def batch(runs):
+            out = tmp_path / f"out_{runs}"
+            assert main(["batch", "--config", str(path), "--out", str(out), "--runs", runs]) == 0
+
+        batch("1")  # fills the one-time caches before anything is traced
+        tracemalloc.start()
+        try:
+            batch("1")
+            _, one = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            batch("3")
+            _, three = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert three <= 1.2 * one
+
     def test_runs_override(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -358,16 +388,23 @@ class TestSweep:
         path = write_config(tmp_path, sweep={"horizons": horizons, "runs": 3})
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
         rows = (tmp_path / "sweep" / "scaling.csv").read_text().splitlines()[1:]
-        for horizon, row in zip(horizons, rows, strict=True):
+        sweep = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+        assert sweep["horizons"] == horizons
+        for i, (horizon, row) in enumerate(zip(horizons, rows, strict=True)):
             (tmp_path / str(horizon)).mkdir()
             single = write_config(tmp_path / str(horizon), horizon=horizon, runs=3)
             out = tmp_path / str(horizon) / "out"
             assert main(["batch", "--config", str(single), "--out", str(out)]) == 0
             summary = json.loads((out / "batch.json").read_text())
-            t, mean_regret, std_error = row.split(",")[:3]
+            t, *values = row.split(",")
             assert int(t) == summary["horizon"] == horizon
-            assert float(mean_regret) == summary["mean_regret"]
-            assert float(std_error) == summary["std_error"]
+            expected = [
+                summary["mean_regret"], summary["std_error"], *summary["confidence_interval"],
+                summary["mean_normalized_regret"], summary["bound_theorem"],
+            ]
+            assert values == [_fmt(v) for v in expected]
+            assert sweep["mean_regrets"][i] == summary["mean_regret"]
+            assert sweep["bounds"][i] == summary["bound_theorem"]
 
 
 class TestValidate:

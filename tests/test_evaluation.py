@@ -517,6 +517,43 @@ class TestMonteCarlo:
         assert report.seed == 9
         assert report.n_switches == competitor.n_switches
 
+    def test_play_seeds_yields_each_seed_played_alone(self):
+        values = np.random.default_rng(15).uniform(size=(20, 2))
+        bundle = self.bundle(values, CompetitorSpec("best_fixed"))
+        plays = list(evaluation.play_seeds(bundle, 3, base_seed=5))
+        assert [report.seed for _, _, report in plays] == [5, 6, 7]
+        for transcript, competitor, report in plays:
+            alone, alone_competitor, alone_report = evaluation.play_and_score(bundle, report.seed)
+            np.testing.assert_array_equal(transcript.q, alone.q)
+            np.testing.assert_array_equal(competitor.experts, alone_competitor.experts)
+            assert report == alone_report
+
+    def test_play_seeds_plays_a_game_only_when_asked(self, monkeypatch):
+        played = []
+
+        def counting(bundle, seed):
+            played.append(seed)
+            return (None, None, seed)
+
+        monkeypatch.setattr(evaluation, "play_and_score", counting)
+        seeds = evaluation.play_seeds(self.bundle(np.zeros((3, 2))), 3, base_seed=2)
+        assert played == []
+        assert next(seeds) == (None, None, 2) and played == [2]
+        assert list(seeds) == [(None, None, 3), (None, None, 4)] and played == [2, 3, 4]
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_no_seeds_fail_at_the_call(self, n_seeds):
+        # raised by the call itself, before anything is iterated
+        bundle = self.bundle(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="need at least one seed"):
+            evaluation.play_seeds(bundle, n_seeds)
+        with pytest.raises(ValueError, match="need at least one seed"):
+            monte_carlo(bundle, n_seeds)
+
+    def test_no_reports_fail_before_any_arithmetic(self):
+        with pytest.raises(ValueError, match="need at least one report"):
+            evaluation.summarize_runs(self.bundle(np.zeros((3, 2))), [])
+
     def test_batch_evaluates_the_bound_once(self, monkeypatch):
         # the per-seed reports carry no bound; only the summary writes one
         calls = []
