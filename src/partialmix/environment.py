@@ -231,7 +231,11 @@ class GameTranscript:
     ``psi``, ``V``, ``D``, ``v``, ``d``, ``selected``, ``selected_loss``
     (the loss incurred, revealed or not), ``p_phi`` (``p_t . phi_t``) and
     ``o_min`` (the round's smallest observation probability).
-    (T, M) columns: ``q``, ``phi`` and the int8 observation ``indicators``.
+    (T, M) columns: ``q`` and the int8 observation ``indicators``.
+    ``phi_revealed`` holds the estimates at the revealed indices only, in
+    the row-major order of ``indicators``; every other estimate is an exact
+    zero, so ``dense[indicators.astype(bool)] = phi_revealed`` on a zero
+    (T, M) array rebuilds the whole ``phi``.
     """
 
     config: LearnerConfig
@@ -244,8 +248,10 @@ class GameTranscript:
         (self.epsilon, self.eta, self.psi, self.V, self.D, self.v, self.d,
          self.selected_loss, self.p_phi, self.o_min) = np.empty((10, horizon))
         self.selected = np.empty(horizon, dtype=int)
-        self.q, self.phi = np.empty((2, horizon, m))
-        self.indicators = np.empty((horizon, m), dtype=np.int8)
+        self.q = np.empty((horizon, m))
+        # nothing revealed until run_game writes the rows
+        self.indicators = np.zeros((horizon, m), dtype=np.int8)
+        self.phi_revealed = np.zeros(0)
 
     @property
     def horizon(self) -> int:
@@ -293,6 +299,7 @@ def run_game(
     tr = GameTranscript(config, seed, losses, loss_process.loss_range)
     state = init_state(config)
     queried: list[int] = []
+    phi_revealed = array("d")  # grows by one float per revealed loss
 
     def reveal(m: int) -> float:
         queried.append(m)
@@ -323,8 +330,9 @@ def run_game(
                        else np.einsum("m,m->", ctx.p, phi))
         tr.o_min[i] = ctx.o_min
         tr.q[i] = ctx.q
-        tr.phi[i] = phi
         tr.indicators[i] = indicators
+        phi_revealed.frombytes(phi[indicators.view(bool)].tobytes())
+    tr.phi_revealed = np.frombuffer(phi_revealed)
     return tr
 
 

@@ -42,13 +42,14 @@ class DegenerateFitError(ValueError):
 @dataclass(frozen=True)
 class LemmaCheck:
     """One inequality verdict: the worst prefix slack, relative to the
-    bound side, with the values at that prefix."""
+    bound side, with the values at that prefix and its 1-based round."""
 
     name: str
     lhs: float
     rhs: float
     slack: float
     passed: bool
+    round: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,25 @@ def _verdict(name: str, lhs: np.ndarray, rhs: np.ndarray) -> LemmaCheck:
         rhs=float(rhs[worst]),
         slack=float(slack[worst]),
         passed=bool(slack[worst] >= -RELATIVE_TOLERANCE),
+        round=worst + 1,
     )
+
+
+def _estimates_at(transcript: GameTranscript, arms: np.ndarray) -> np.ndarray:
+    """Each round's estimate ``phi[t, arms[t]]``. phi is an exact zero off
+    the revealed losses, and ``phi_revealed`` lists the revealed estimates
+    row by row, so a revealed arm's estimate sits at its row's offset plus
+    the count of revealed arms before it."""
+    indicators = transcript.indicators
+    horizon, m = indicators.shape
+    hit = indicators[np.arange(horizon), arms] == 1
+    counts = indicators.sum(axis=1)
+    before = np.arange(m) < arms[:, None]  # one byte per (T, M) cell
+    before &= indicators.view(bool)
+    at = np.cumsum(counts) - counts + before.sum(axis=1)
+    phi = np.zeros(horizon)
+    phi[hit] = transcript.phi_revealed[at[hit]]
+    return phi
 
 
 def check_lemmas(
@@ -105,7 +124,6 @@ def check_lemmas(
     m = transcript.config.n_experts
     eta, v, d = transcript.eta, transcript.v, transcript.d
     v_run, d_run = transcript.V, transcript.D
-    phi = transcript.phi
 
     sqrt_v = np.sqrt(v_run)
     sqrt_vd = np.sqrt(v_run + d_run * d_run)
@@ -116,21 +134,22 @@ def check_lemmas(
     prev_eta = np.concatenate(([math.nan], eta[:-1]))
     with np.errstate(invalid="ignore"):
         ratio = np.where(np.isnan(eta) | np.isnan(prev_eta), 1.0, eta / prev_eta)
-    if ratio.max() > 1.0 + RELATIVE_TOLERANCE:
+    top = int(ratio.argmax())
+    if ratio[top] > 1.0 + RELATIVE_TOLERANCE:
         # non-increasing rates are a precondition of the guarantee; an
         # increase marks the transcript itself as invalid
         rate_drop = LemmaCheck(
             name="rate_drop",
-            lhs=float(ratio.max()),
+            lhs=float(ratio[top]),
             rhs=1.0,
-            slack=float(1.0 - ratio.max()),
+            slack=float(1.0 - ratio[top]),
             passed=False,
+            round=top + 1,
         )
     else:
         rate_drop = _verdict("rate_drop", np.cumsum((1.0 - ratio) * d), sqrt_vd)
 
-    experts = competitor.experts
-    inst = transcript.p_phi - phi[np.arange(horizon), experts]
+    inst = transcript.p_phi - _estimates_at(transcript, competitor.experts)
     log_counts = np.full(horizon, math.log(kernel.class_count(horizon)))
     log_counts[0] = math.log(kernel.class_count(1))
     w_prefix = log_counts - np.cumsum(kernel.path_log_factors(competitor.classes))

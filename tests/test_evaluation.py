@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialmix import evaluation
 from partialmix.classnet import (
@@ -227,6 +229,9 @@ class TestCheckLemmas:
         transcript.d[150] = max(transcript.d[150], 1.0)
         diagnostics = check_lemmas(transcript, competitor)
         assert not diagnostics["rate_drop"].passed
+        # the largest ratio is eta[150] / eta[149], at round 151
+        assert diagnostics["rate_drop"].round == 151
+        assert diagnostics["rate_drop"].lhs == transcript.eta[150] / transcript.eta[149]
 
     def test_tagged_custom_kernel_run_passes(self):
         # classes that share experts (tagged) through the full loop, scored
@@ -298,7 +303,7 @@ class TestObservationFloorPerRound:
         horizon, m = o.shape
         config = LearnerConfig(kernel=fixed_kernel(m), w_budget=1.0)
         tr = GameTranscript(config, 0, np.zeros((horizon, m)), (0.0, 1.0))
-        for name in ("V", "D", "v", "d", "phi", "p_phi", "q"):
+        for name in ("V", "D", "v", "d", "p_phi", "q"):
             getattr(tr, name)[:] = 0.0
         tr.eta[:] = math.nan
         tr.epsilon[:] = epsilon
@@ -306,43 +311,54 @@ class TestObservationFloorPerRound:
         competitor = CompetitorSequence.from_experts(np.zeros(horizon, dtype=int), config.kernel)
         return check_lemmas(tr, competitor)["observation_floor"]
 
-    # the marked entries as (row, epsilon / M, o), and the expected (lhs,
-    # rhs, slack, passed); every other entry has o = 100 and slack near 1
+    # the marked entries as (row, epsilon / M, o), the expected (lhs, rhs,
+    # slack, passed) and the row of the worst slack; every other entry has
+    # o = 100 and slack near 1
     CASES = {
         # slack 0 in the first and the third row: the earlier one wins
-        "tie": ([(0, 1.0, 1.0), (2, 0.5, 0.5)], (1.0, 1.0, 0.0, True)),
+        "tie": ([(0, 1.0, 1.0), (2, 0.5, 0.5)], (1.0, 1.0, 0.0, True), 0),
         # o = 4 gives slack (4 - 5) / 4 = -0.25, above the later -0.5
-        "scale": ([(0, 5.0, 4.0), (1, 1.0, 0.5)], (1.0, 0.5, -0.5, False)),
+        "scale": ([(0, 5.0, 4.0), (1, 1.0, 0.5)], (1.0, 0.5, -0.5, False), 1),
         # a NaN after a finite minimum wins, and the first NaN of two
         "nan": (
             [(0, 0.5, 0.1), (1, 0.25, math.nan), (2, 0.75, math.nan)],
             (0.25, math.nan, math.nan, False),
+            1,
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("horizon, m", [(50, 4), (700, 256), (3, 6)])
     def test_matches_the_flat_verdict(self, horizon, m, case):
-        marks, (lhs, rhs, slack, passed) = self.CASES[case]
+        marks, (lhs, rhs, slack, passed), worst_row = self.CASES[case]
         rows = [horizon // 5, horizon // 2, 4 * horizon // 5]
         epsilon = np.full(horizon, 0.5)
         o = np.full((horizon, m), 100.0)
         for mark, (i, floor, value) in enumerate(marks):
             epsilon[rows[i]] = floor * m
             o[rows[i], (mark * 7) % m] = value  # not always the same column
-        flat = evaluation._verdict(
-            "observation_floor", np.broadcast_to(epsilon[:, None] / m, o.shape).ravel(), o.ravel()
-        )
+        flat = flat_floor_verdict(epsilon, o)
         got = self.verdict(epsilon, o)
         assert repr(got) == repr(flat)
         assert repr((got.lhs, got.rhs, got.slack, got.passed)) == repr((lhs, rhs, slack, passed))
+        assert got.round == rows[worst_row] + 1
+
+
+def flat_floor_verdict(epsilon, o):
+    """The floor verdict by ``_verdict`` over the flat (T*M) entries, with
+    its round mapped back from the flat index to the entry's row."""
+    m = o.shape[1]
+    flat = evaluation._verdict(
+        "observation_floor", np.repeat(epsilon / m, m), o.ravel()
+    )
+    return dataclasses.replace(flat, round=(flat.round - 1) // m + 1)
 
 
 def dense_verdicts(tr, p, o, phi, competitor):
     """The four verdicts from whole-game (T, M) columns: the tracking sum
     through ``einsum`` over dense ``p`` and ``phi``, the floor over the
     flat ``o``."""
-    config, horizon, m = tr.config, tr.horizon, tr.config.n_experts
+    config, horizon = tr.config, tr.horizon
     gamma, kernel = config.gamma, config.kernel
     sqrt_v = np.sqrt(tr.V)
     sqrt_vd = np.sqrt(tr.V + tr.D * tr.D)
@@ -364,16 +380,23 @@ def dense_verdicts(tr, p, o, phi, competitor):
             np.cumsum(inst),
             ((w_prefix + gamma) / gamma) * sqrt_vd + gamma * sqrt_v,
         ),
-        verdict("observation_floor", np.repeat(tr.epsilon / m, m), o.ravel()),
+        flat_floor_verdict(tr.epsilon, o),
     ))
 
 
+def dense_phi(tr):
+    """The (T, M) estimates rebuilt from the revealed ones."""
+    phi = np.zeros(tr.indicators.shape)
+    phi[tr.indicators.astype(bool)] = tr.phi_revealed
+    return phi
+
+
 class TestTranscriptColumns:
-    """A game keeps ``p . phi`` in place of ``p``, and each round's
-    smallest observation probability in place of ``o``. Replays through
-    ``learner.step`` keep the dense ``p``, ``o`` and ``phi``; the stored
-    columns and all four verdicts must equal what the dense columns give,
-    bit for bit."""
+    """A game keeps ``p . phi`` in place of ``p``, each round's smallest
+    observation probability in place of ``o``, and only the revealed
+    estimates of ``phi``. Replays through ``learner.step`` keep the dense
+    ``p``, ``o`` and ``phi``; the stored columns and all four verdicts must
+    equal what the dense columns give, bit for bit."""
 
     @staticmethod
     def feedback(kind, m, horizon, rng):
@@ -409,6 +432,13 @@ class TestTranscriptColumns:
             reveals[i] = indicators.sum()
         return p, o, phi, reveals
 
+    @staticmethod
+    def assert_gathered(tr, phi, arms):
+        """``check_lemmas`` reads ``phi[t, arms[t]]`` off ``phi_revealed``
+        bit for bit, +0.0 wherever the arm was not revealed."""
+        got = evaluation._estimates_at(tr, arms)
+        assert got.tobytes() == phi[np.arange(tr.horizon), arms].tobytes()
+
     @pytest.mark.parametrize("kind", ["bandit", "full", "dirichlet", "mixed"])
     @pytest.mark.parametrize("m", [2, 3, 4, 8, 17, 256])
     def test_matches_the_dense_columns(self, kind, m):
@@ -424,25 +454,65 @@ class TestTranscriptColumns:
             assert {0, 1} <= set(reveals) and reveals.max() > 1
         assert tr.p_phi.tobytes() == np.einsum("tm,tm->t", p, phi).tobytes()
         assert tr.o_min.tobytes() == o[np.arange(horizon), o.argmin(axis=1)].tobytes()
-        assert tr.phi.tobytes() == phi.tobytes()
+        assert len(tr.phi_revealed) == tr.indicators.sum()
+        assert dense_phi(tr).tobytes() == phi.tobytes()
         competitor = resolve_competitor(
             CompetitorSpec("best_k_switch", switches=2), tr.losses, config.kernel
         )
+        self.assert_gathered(tr, phi, competitor.experts)
         got = check_lemmas(tr, competitor)
         assert got.all_passed
         assert repr(got) == repr(dense_verdicts(tr, p, o, phi, competitor))
 
+    def test_competitor_on_arms_never_revealed(self):
+        # arms 1 and 2 get a weight of 1e-200 from the prior and from every
+        # transition, and there is no exploration: the learner plays arm 0
+        # every round and bandit feedback reveals nothing else, so the
+        # competitor's estimate is +0.0 on every round it leaves arm 0
+        m, horizon, tiny = 3, 60, 1e-200
+        weights = np.array([1.0, tiny, tiny])
+        kernel = TableKernel(np.arange(m), weights, np.tile(weights, (m, 1)), m)
+        config = LearnerConfig(kernel=kernel, gamma=1.0, epsilon=0.0)
+        loss_process = PiecewiseLosses(m, (0.0, 1.0), [1, 2], [1 / 2])
+        tr = run_game(config, loss_process, bandit_feedback(m), horizon, seed=4)
+        p, o, phi, _ = self.replay(config, loss_process, bandit_feedback(m), horizon, 4)
+        assert not tr.indicators[:, 1:].any()
+        experts = np.tile([1, 0, 2], horizon // 3)
+        competitor = CompetitorSequence.from_experts(experts, kernel)
+        self.assert_gathered(tr, phi, experts)
+        got = check_lemmas(tr, competitor)
+        assert repr(got) == repr(dense_verdicts(tr, p, o, phi, competitor))
+
+    def test_a_revealed_estimate_of_zero(self):
+        # arm 0 always loses the range's bottom under full feedback, so the
+        # running minimum psi equals its loss from round 1 on and its
+        # revealed estimate is exactly +0.0; the competitor moves between
+        # it and arms whose estimates are positive
+        m, horizon = 4, 60
+        values = np.random.default_rng(8).uniform(0.2, 1.0, size=(horizon, m))
+        values[:, 0] = 0.0
+        config = LearnerConfig(kernel=fixed_share_kernel(m, 0.05), w_budget=20.0)
+        loss_process = ScriptedLosses(values, (0.0, 1.0))
+        feedback_process = full_feedback_process(m)
+        tr = run_game(config, loss_process, feedback_process, horizon, seed=6)
+        p, o, phi, _ = self.replay(config, loss_process, feedback_process, horizon, 6)
+        zeros = tr.phi_revealed[::m]
+        assert not zeros.any() and not np.signbit(zeros).any()
+        assert (tr.phi_revealed.reshape(horizon, m)[:, 1:] > 0.0).all()
+        experts = np.repeat([0, 2, 0, 3], horizon // 4)
+        competitor = CompetitorSequence.from_experts(experts, config.kernel)
+        self.assert_gathered(tr, phi, experts)
+        got = check_lemmas(tr, competitor)
+        assert repr(got) == repr(dense_verdicts(tr, p, o, phi, competitor))
+
 
 class TestDiagnosedGameMemory:
-    @pytest.mark.parametrize("kind", ["bandit", "full", "dirichlet"])
-    @pytest.mark.parametrize("competitor", [
-        CompetitorSpec("best_fixed"), CompetitorSpec("best_k_switch", switches=2),
-    ])
-    def test_peak_stays_below_four_columns(self, competitor, kind):
-        # a game with its diagnostics keeps three (T, M) float columns
-        # (losses, q, phi), the int8 indicators and (T,) temporaries, under
-        # four in all whatever the feedback
-        m, horizon = 256, 1000
+    M, HORIZON = 256, 1000
+    COMPETITORS = [CompetitorSpec("best_fixed"), CompetitorSpec("best_k_switch", switches=2)]
+
+    @staticmethod
+    def peak(kind, competitor, m=M, horizon=HORIZON):
+        """The ``tracemalloc`` peak of one diagnosed game."""
         feedback = TestTranscriptColumns.feedback(kind, m, horizon, np.random.default_rng(5))
         bundle = ExperimentBundle(
             LearnerConfig(kernel=fixed_share_kernel(m, 1e-3), w_budget=100.0),
@@ -460,7 +530,23 @@ class TestDiagnosedGameMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * horizon * m * 8
+        return peak
+
+    @pytest.mark.parametrize("kind", ["bandit", "full", "dirichlet"])
+    @pytest.mark.parametrize("competitor", COMPETITORS)
+    def test_peak_stays_below_four_columns(self, competitor, kind):
+        # a game with its diagnostics keeps two (T, M) float columns
+        # (losses, q), the int8 indicators, the revealed estimates (up to
+        # one more column under full feedback) and (T,) temporaries, under
+        # four in all whatever the feedback
+        assert self.peak(kind, competitor) < 4 * self.HORIZON * self.M * 8
+
+    @pytest.mark.parametrize("competitor", COMPETITORS)
+    def test_bandit_peak_stays_below_two_and_a_half_columns(self, competitor):
+        # bandit feedback reveals one estimate per round, so no third
+        # (T, M) float column is left: losses, q, the indicators and the
+        # check's one-byte rank mask; a dense phi would take it past 3
+        assert self.peak("bandit", competitor) < 2.5 * self.HORIZON * self.M * 8
 
 
 class TestMonteCarlo:
@@ -675,3 +761,15 @@ class TestAffineEnvelope:
         cmp = affine_pair(1.0, 1e12, horizon=1000, seed=7)
         assert not cmp.selections_equal
         assert cmp.q_sup_diff > 1e-2
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(scale=st.floats(0.1, 10.0), shift=st.floats(-100.0, 100.0))
+    def test_random_maps_inside_the_envelope_stay_aligned(self, scale, shift):
+        # well inside the README's envelope: 150 random maps with scales in
+        # [1e-2, 1e2] and shifts up to 1e3 kept sup |dq| at or below
+        # 2.2e-11 * max(1, |shift| / scale), at most 2.2e-8 here
+        from partialmix.validation import affine_pair
+
+        cmp = affine_pair(scale, shift, horizon=500)
+        assert cmp.selections_equal and cmp.indicators_equal
+        assert cmp.q_sup_diff <= 1e-6
