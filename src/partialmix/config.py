@@ -32,7 +32,7 @@ from .environment import (
     full_feedback_process,
 )
 from .evaluation import ExperimentBundle
-from .learner import LearnerConfig
+from .learner import LearnerConfig, LearnerConfigError
 
 
 class ConfigError(ValueError):
@@ -404,14 +404,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     fixed_eta = _as_float(raw["fixed_eta"], "fixed_eta") if raw.get("fixed_eta") is not None else None
     try:
         learner = LearnerConfig(
-            kernel=kernel,
-            w_budget=w_budget,
-            gamma=gamma,
-            epsilon=epsilon,
-            fixed_eta=fixed_eta,
+            kernel=kernel, w_budget=w_budget, gamma=gamma, epsilon=epsilon, fixed_eta=fixed_eta
         )
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from exc
+    except LearnerConfigError as exc:
+        raise ConfigError(exc.key, exc.message) from exc
     experiment = ExperimentBundle(
         learner_config=learner,
         loss_process=parse_loss_process(_require(raw, "loss", "config"), n_experts),

@@ -298,23 +298,21 @@ def run_game(
 
     tr = GameTranscript(config, seed, losses, loss_process.loss_range)
     state = init_state(config)
-    queried: list[int] = []
     phi_revealed = array("d")  # grows by one float per revealed loss
 
-    def reveal(m: int) -> float:
-        queried.append(m)
-        return row[m]
+    def reveal(at):
+        queried.append(at)
+        return row[at]
 
     for i in range(horizon):
-        # one round's losses as Python floats; reveal reads the current row
-        row = losses[i].tolist()
-        queried.clear()
+        # reveal reads this round's row and records each read: an int or an index array
+        row, queried = losses[i], []
         matrix = feedback_process.matrix_at(i + 1)
-        ctx, selected, indicators, phi, rate, state = step(
-            state, config, matrix, reveal, play_rng
-        )
-        if not all(indicators[m] for m in queried):
-            raise RuntimeError(f"learner read an unrevealed loss at round {i + 1}")
+        ctx, selected, indicators, phi, rate, state = step(state, config, matrix, reveal, play_rng)
+        # a scalar read checks one indicator; .all() on a few would cost microseconds
+        for seen in map(indicators.__getitem__, queried):
+            if not (seen if seen.ndim == 0 else np.count_nonzero(seen) == seen.size):
+                raise RuntimeError(f"learner read an unrevealed loss at round {i + 1}")
         tr.epsilon[i] = ctx.epsilon
         tr.eta[i] = math.nan if rate.eta is None else rate.eta
         tr.psi[i] = state.psi
@@ -323,15 +321,16 @@ def run_game(
         tr.v[i] = rate.v
         tr.d[i] = rate.d
         tr.selected[i] = selected
-        # the incurred loss is environment-side knowledge even when hidden
-        tr.selected_loss[i] = row[selected]
-        # phi is an exact zero off the revealed losses: one reveal, one product
-        tr.p_phi[i] = (ctx.p[queried[0]] * phi[queried[0]] if len(queried) == 1
-                       else np.einsum("m,m->", ctx.p, phi))
         tr.o_min[i] = ctx.o_min
         tr.q[i] = ctx.q
         tr.indicators[i] = indicators
-        phi_revealed.frombytes(phi[indicators.view(bool)].tobytes())
+        at = fb.revealed_indices(matrix, selected, indicators)
+        # phi is an exact zero off the revealed losses: one reveal, one product
+        tr.p_phi[i] = (ctx.p[at] * phi[at] if isinstance(at, int)
+                       else np.einsum("m,m->", ctx.p, phi))
+        phi_revealed.frombytes(phi[at].tobytes())
+    # the incurred loss is environment-side knowledge even when hidden
+    tr.selected_loss[:] = losses[np.arange(horizon), tr.selected]
     tr.phi_revealed = np.frombuffer(phi_revealed)
     return tr
 

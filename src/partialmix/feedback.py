@@ -156,3 +156,10 @@ def sample_indicators(
         return indicators
     return (u < matrix.entries[:, selected]).astype(np.int8)
 
+
+def revealed_indices(matrix: FeedbackMatrix, selected: int, indicators: np.ndarray):
+    """The indices a round reveals: one as an int, several or none as an index array."""
+    if matrix._identity:
+        return selected
+    at = indicators.nonzero()[0]
+    return int(at[0]) if len(at) == 1 else at

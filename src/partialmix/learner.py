@@ -8,9 +8,9 @@ statistics and the adaptive learning rate, and push the estimates through
 the class-weight update.
 
 The learner never reads a loss it did not observe: it receives a loss
-*oracle* and queries it only at revealed indices. It also never uses the
-loss range; translation by the running minimum makes its behavior
-invariant under affine transforms of the losses.
+*oracle* and queries it once per round, at revealed indices only. It
+also never uses the loss range; translation by the running minimum makes
+its behavior invariant under affine transforms of the losses.
 """
 
 from __future__ import annotations
@@ -23,13 +23,21 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .classnet import TableKernel, advance, expert_marginals, init_weights
-from .feedback import FeedbackMatrix, observation_probabilities, sample_indicators
+from .feedback import FeedbackMatrix, observation_probabilities, revealed_indices, sample_indicators
 
 OBSERVATION_FLOOR_SLACK = 1e-9
 
 
 class ZeroObservationProbabilityError(ValueError):
     """An observed index has zero observation probability."""
+
+
+class LearnerConfigError(ValueError):
+    """An invalid ``LearnerConfig`` field; ``key`` names it as a config file does."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
+        self.key, self.message = key, message
 
 
 def epsilon_schedule(n_experts: int, w_budget: float, t: int) -> float:
@@ -43,13 +51,13 @@ def _finite(value, name: str) -> float:
     """``value`` as a float; booleans and non-finite numbers raise, as the
     config parser's ``_as_float`` does."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise LearnerConfigError(name, f"must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise LearnerConfigError(name, f"must be finite, got {value!r}")
     return number
 
 
@@ -76,36 +84,36 @@ class LearnerConfig:
         if n_experts is not None and (
             isinstance(n_experts, bool) or n_experts != self.kernel.n_experts
         ):
-            raise ValueError(
-                f"kernel covers {self.kernel.n_experts} experts, config says {n_experts!r}"
-            )
+            raise LearnerConfigError("n_experts", f"kernel covers {self.kernel.n_experts} "
+                                     f"experts, config says {n_experts!r}")
         object.__setattr__(self, "n_experts", self.kernel.n_experts)
         for name in ("w_budget", "gamma", "fixed_eta"):
             value = getattr(self, name)
             if value is not None:
                 value = _finite(value, name)
                 if value <= 0.0:
-                    raise ValueError(f"{name} must be positive")
+                    raise LearnerConfigError(name, "must be positive")
                 object.__setattr__(self, name, value)
         if self.gamma is None and self.w_budget is None:
-            raise ValueError("either gamma or w_budget is required")
+            raise LearnerConfigError("w_budget", "either gamma or w_budget is required")
         if self.gamma is None:
             object.__setattr__(self, "gamma", math.sqrt(self.w_budget))
         if self.epsilon is None and self.w_budget is None:
-            raise ValueError("the default epsilon schedule needs w_budget")
+            raise LearnerConfigError("w_budget", "the default epsilon schedule needs w_budget")
         if self.epsilon is not None and np.ndim(self.epsilon) > 0:
             eps = tuple(_finite(e, f"epsilon[{i}]") for i, e in enumerate(self.epsilon))
             if not eps:
-                raise ValueError("epsilon schedule is empty")
-            if any(e < 0.0 or e > 1.0 for e in eps):
-                raise ValueError("epsilon values must lie in [0, 1]")
-            if any(b > a + 1e-12 for a, b in zip(eps, eps[1:])):
-                raise ValueError("epsilon schedule must be non-increasing")
+                raise LearnerConfigError("epsilon", "schedule is empty")
+            for i, e in enumerate(eps):
+                if not 0.0 <= e <= 1.0:
+                    raise LearnerConfigError(f"epsilon[{i}]", "must lie in [0, 1]")
+                if i and e > eps[i - 1] + 1e-12:
+                    raise LearnerConfigError(f"epsilon[{i}]", "schedule must be non-increasing")
             object.__setattr__(self, "epsilon", eps)
         elif self.epsilon is not None:
             e = _finite(self.epsilon, "epsilon")
             if not 0.0 <= e <= 1.0:
-                raise ValueError("epsilon must lie in [0, 1]")
+                raise LearnerConfigError("epsilon", "must lie in [0, 1]")
             object.__setattr__(self, "epsilon", e)
 
     def epsilon_at(self, t: int) -> float:
@@ -168,29 +176,31 @@ def select(q: np.ndarray, rng: np.random.Generator) -> int:
     return int(min(cdf.searchsorted(u, side="right"), len(q) - 1))
 
 
-def estimate(
-    indicators: np.ndarray, revealed: np.ndarray, o: np.ndarray, psi_new: float
-) -> np.ndarray:
+def estimate(observed, revealed, o: np.ndarray, psi_new: float) -> np.ndarray:
     """Importance-weighted, translation-corrected loss estimates.
 
-    ``revealed`` holds the losses at ``indicators.nonzero()[0]``, in
-    index order. ``phi_m = (loss_m - psi_new) / o_m`` for revealed indices,
-    0 otherwise. ``psi_new`` must already include this round's
-    observations, so every entry is nonnegative.
+    ``observed`` is one revealed index as an int with its loss, or an index
+    array with the losses there. ``phi_m = (loss_m - psi_new) / o_m`` for
+    revealed indices, 0 otherwise. ``psi_new`` must already include this
+    round's observations, so every entry is nonnegative.
     """
+    one = isinstance(observed, int)
+    if not one and len(revealed) != len(observed):
+        raise ValueError(f"{len(observed)} indices revealed, {len(revealed)} losses given")
     phi = np.zeros(len(o))
-    # strict: one revealed loss per indicator 1, or a ValueError
-    for m, loss in zip(indicators.nonzero()[0].tolist(), revealed.tolist(), strict=True):
-        if o[m] <= 0.0:
-            raise ZeroObservationProbabilityError(
-                f"expert {m} was observed but has observation probability {o[m]}"
-            )
-        phi[m] = (loss - psi_new) / o[m]
+    o_at = o[observed]
+    # the revealed index least likely to be seen, where a zero would show
+    m = observed if one else observed[o_at.argmin()] if len(o_at) else None
+    if m is not None and o[m] <= 0.0:
+        raise ZeroObservationProbabilityError(
+            f"expert {m} was observed but has observation probability {o[m]}"
+        )
+    phi[observed] = (revealed - psi_new) / o_at
     return phi
 
 
 def update_rate(
-    state: LearnerState, phi: np.ndarray, p: np.ndarray, config: LearnerConfig
+    state: LearnerState, phi: np.ndarray, p: np.ndarray, config: LearnerConfig, observed=None
 ) -> RateUpdate:
     """Refresh the second-order statistics and the adaptive rate.
 
@@ -198,9 +208,18 @@ def update_rate(
     ``v = sum_m p_m phi_m^2``; the rate is ``gamma / sqrt(V + D^2)``. While
     ``V + D^2 == 0`` every estimate so far was exactly zero, so the rate
     stays unset and the weight update degenerates to pure kernel mixing.
+
+    An int ``observed`` says ``phi`` is +0.0 but at that index. Then ``d``
+    and ``v`` read that entry alone, with the dense bits: argmax and argmin
+    take the first of equal entries, and the dot product adds exact +0.0s.
     """
-    d = float(phi[phi.argmax()] - phi[phi.argmin()])
-    v = float(p @ (phi * phi))
+    if isinstance(observed, int):
+        x = float(phi[observed])
+        d = x if x > 0.0 and len(phi) > 1 else x - x
+        v = float(p[observed]) * (x * x)
+    else:
+        d = float(phi[phi.argmax()] - phi[phi.argmin()])
+        v = float(p @ (phi * phi))
     V = state.V + v
     D = max(state.D, d)
     if config.fixed_eta is not None:
@@ -242,18 +261,18 @@ def prepare_round(
 
 
 def finish_round(
-    state: LearnerState,
-    config: LearnerConfig,
-    ctx: RoundContext,
-    indicators: np.ndarray,
-    revealed: np.ndarray,
+    state: LearnerState, config: LearnerConfig, ctx: RoundContext, observed, revealed
 ) -> tuple[np.ndarray, RateUpdate, LearnerState]:
     """Deterministic remainder of a round once the observation is fixed:
-    the indicator vector and the losses it revealed, in index order.
+    the revealed indices and their losses, as ``estimate`` takes them.
     Returns the estimates, the rate update and the next state."""
-    psi = min([state.psi, *revealed.tolist()])
-    phi = estimate(indicators, revealed, ctx.o, psi)
-    rate = update_rate(state, phi, ctx.p, config)
+    if isinstance(observed, int):
+        revealed = lowest = float(revealed)
+    else:  # the first of equal minima, as a left-to-right min keeps it
+        lowest = float(revealed[revealed.argmin()]) if len(revealed) else math.inf
+    psi = min(state.psi, lowest)
+    phi = estimate(observed, revealed, ctx.o, psi)
+    rate = update_rate(state, phi, ctx.p, config, observed)
     # an unset rate means every estimate so far is zero, so any exponent
     # gives the same weights; V and D never decrease, so it also means an
     # unset eta_prev. The first informative round takes the prior at power
@@ -275,21 +294,20 @@ def step(
     state: LearnerState,
     config: LearnerConfig,
     matrix: FeedbackMatrix,
-    loss_oracle: Callable[[int], float],
+    loss_oracle: Callable,
     rng: np.random.Generator,
 ) -> tuple[RoundContext, int, np.ndarray, np.ndarray, RateUpdate, LearnerState]:
     """Play one round; returns the round's context, the selection, the
     int8 indicators, the estimates, the rate update and the next state.
 
-    ``loss_oracle`` is queried only at the indices the sampled indicators
-    reveal. Consumes one uniform for the selection, then M uniforms for the
-    indicators, in that order.
+    ``loss_oracle(observed)`` answers as a loss row ``row[observed]`` does,
+    queried once with ``revealed_indices``: an int when the round reveals
+    one loss, an index array otherwise. Consumes one uniform for the
+    selection, then M uniforms for the indicators, in that order.
     """
     ctx = prepare_round(state, config, matrix)
     selected = select(ctx.q, rng)
     indicators = sample_indicators(matrix, selected, rng)
-    revealed = np.array(
-        [loss_oracle(m) for m in indicators.nonzero()[0].tolist()], dtype=float
-    )
-    phi, rate, new_state = finish_round(state, config, ctx, indicators, revealed)
+    observed = revealed_indices(matrix, selected, indicators)
+    phi, rate, new_state = finish_round(state, config, ctx, observed, loss_oracle(observed))
     return ctx, selected, indicators, phi, rate, new_state

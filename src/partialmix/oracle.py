@@ -122,9 +122,8 @@ def exact_expected_regret(
                 visited += 1
                 if visited > max_outcomes:
                     raise OutcomeExplosionError(f"outcome tree exceeds the limit {max_outcomes}")
-                indicators = np.array(pattern, dtype=np.int8)
-                revealed = row[np.flatnonzero(indicators)]
-                next_state = finish_round(state, config, ctx, indicators, revealed)[2]
+                observed = np.flatnonzero(pattern)
+                next_state = finish_round(state, config, ctx, observed, row[observed])[2]
                 total += recurse(
                     next_state, t + 1, probability * branch, learner_loss + row[i]
                 )

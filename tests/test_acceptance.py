@@ -109,7 +109,7 @@ class TestAcceptance:
             # the vectorized resampler must agree with the estimator itself
             for k in rng.integers(resamples, size=25):
                 np.testing.assert_allclose(
-                    estimate(indicators[k].astype(np.int8), row[indicators[k]], o, psi[k]),
+                    estimate(np.flatnonzero(indicators[k]), row[indicators[k]], o, psi[k]),
                     phi[k],
                     atol=1e-12,
                 )

@@ -124,6 +124,26 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="gamma or w_budget"):
             parse_config(bad)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"w_budget": -1}, "w_budget: must be positive"),
+            ({"gamma": 0}, "gamma: must be positive"),
+            ({"fixed_eta": -0.5}, "fixed_eta: must be positive"),
+            ({"epsilon": 1.5}, "epsilon: must lie in [0, 1]"),
+            ({"epsilon": []}, "epsilon: schedule is empty"),
+            ({"epsilon": [0.5, -0.1]}, "epsilon[1]: must lie in [0, 1]"),
+            ({"epsilon": [0.5, 0.4, 0.6]}, "epsilon[2]: schedule must be non-increasing"),
+            ({"w_budget": None}, "w_budget: either gamma or w_budget is required"),
+            ({"w_budget": None, "gamma": 1.0},
+             "w_budget: the default epsilon schedule needs w_budget"),
+        ],
+    )
+    def test_learner_errors_name_their_key(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(base_config(**overrides))
+        assert str(info.value) == message
+
     def test_loss_csv_loading(self, tmp_path):
         csv_path = tmp_path / "losses.csv"
         csv_path.write_text("0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n0.9,1.0\n")

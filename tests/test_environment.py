@@ -34,7 +34,8 @@ from partialmix.feedback import (
     identity_feedback,
     observation_probabilities,
 )
-from partialmix.learner import LearnerConfig
+from partialmix import learner
+from partialmix.learner import LearnerConfig, ZeroObservationProbabilityError
 
 
 def bandit_config(m, w=2.0, **kwargs):
@@ -195,7 +196,7 @@ class TestRunGame:
             result = real_step(state, config, matrix, loss_oracle, rng)
             if state.t == 3:
                 indicators = result[2]
-                loss_oracle(int(np.flatnonzero(indicators == 0)[0]))
+                loss_oracle(int(np.flatnonzero(indicators == 0)[0]))  # one index, as an int
             return result
 
         monkeypatch.setattr(environment, "step", peeking_step)
@@ -251,6 +252,201 @@ class TestRunGame:
                 config, IIDLosses([UniformArm(0, 1)] * 3, (0.0, 1.0)),
                 bandit_feedback(2), 10, seed=0,
             )
+
+
+def transcript_bytes(tr):
+    """Every array column of a transcript, as bytes."""
+    return {k: (v.dtype, v.tobytes()) for k, v in vars(tr).items() if isinstance(v, np.ndarray)}
+
+
+class TestLossOracle:
+    """The learner reads a round's revealed losses with one oracle query:
+    an int when the round reveals one loss (the selection under identity
+    feedback), the revealed index array otherwise."""
+
+    def test_one_query_per_round_at_the_revealed_indices(self, monkeypatch):
+        from partialmix import environment
+
+        real_step = environment.step
+        queries = []
+
+        def recording_step(state, config, matrix, loss_oracle, rng):
+            queries.append([])
+
+            def oracle(observed):
+                queries[-1].append(observed)
+                return loss_oracle(observed)
+
+            return real_step(state, config, matrix, oracle, rng)
+
+        monkeypatch.setattr(environment, "step", recording_step)
+        rng = np.random.default_rng(3)
+        strict = FeedbackMatrix(np.vstack([rng.dirichlet(np.ones(3)) for _ in range(3)]))
+        feedback = ScriptedFeedback([identity_feedback(3), strict, full_feedback(3)] * 30)
+        losses = IIDLosses([UniformArm(0, 1)] * 3, (0.0, 1.0))
+        tr = run_game(bandit_config(3), losses, feedback, 90, seed=2)
+        assert len(queries) == 90
+        reveals = set()
+        for t, (observed,) in enumerate(queries):  # exactly one query a round
+            at = np.flatnonzero(tr.indicators[t])
+            if t % 3 == 0:
+                assert observed == tr.selected[t]
+            if len(at) == 1:
+                assert type(observed) is int and observed == at[0]
+            else:
+                assert observed.tolist() == at.tolist()
+            reveals.add((t % 3, len(at)))
+        # strict rounds reveal zero to three losses, and an empty array is still a query
+        assert {(0, 1), (1, 0), (1, 1), (1, 2), (2, 3)} <= reveals
+
+    @pytest.mark.parametrize(
+        "peek",
+        [
+            lambda indicators: np.arange(3),
+            lambda indicators: slice(None),
+            lambda indicators: np.flatnonzero(indicators == 0)[0],  # an np.int64
+        ],
+        ids=["array", "slice", "int64"],
+    )
+    def test_reading_unrevealed_losses_by_any_index_aborts_the_game(self, peek, monkeypatch):
+        from partialmix import environment
+
+        real_step = environment.step
+
+        def peeking_step(state, config, matrix, loss_oracle, rng):
+            result = real_step(state, config, matrix, loss_oracle, rng)
+            if state.t == 3:  # every peek includes a hidden loss
+                loss_oracle(peek(result[2]))
+            return result
+
+        monkeypatch.setattr(environment, "step", peeking_step)
+        losses = IIDLosses([UniformArm(0, 1)] * 3, (0.0, 1.0))
+        with pytest.raises(RuntimeError, match="unrevealed loss at round 3"):
+            run_game(bandit_config(3), losses, bandit_feedback(3), 5, seed=0)
+
+    def test_one_reveal_at_zero_observation_probability_raises(self):
+        config = bandit_config(2)
+        state = learner.init_state(config)
+        ctx = learner.prepare_round(state, config, identity_feedback(2))
+        ctx = ctx._replace(o=np.array([0.0, 1.0]))
+        with pytest.raises(ZeroObservationProbabilityError, match="expert 0 was observed"):
+            learner.finish_round(state, config, ctx, 0, 0.4)
+        with pytest.raises(ZeroObservationProbabilityError, match="expert 0 was observed"):
+            learner.finish_round(state, config, ctx, np.array([0]), np.array([0.4]))
+
+
+class TestStoredEstimates:
+    """Every stored estimate is its definition, ``(loss - psi_t) / o_t[m]``
+    with ``o_t`` recomputed from the round's ``q``."""
+
+    KINDS = ["bandit", "full", "dirichlet", "permutation"]
+
+    @staticmethod
+    def game(kind):
+        m = 2 if kind == "permutation" else 4
+        rng = np.random.default_rng(21)
+        matrix = {
+            "bandit": lambda: identity_feedback(m),
+            "full": lambda: full_feedback(m),
+            "dirichlet": lambda: FeedbackMatrix(
+                np.vstack([rng.dirichlet(np.ones(m)) for _ in range(m)])
+            ),
+            # reveals the loss of the expert not selected
+            "permutation": lambda: FeedbackMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        }[kind]()
+        config = LearnerConfig(kernel=fixed_share_kernel(m, 0.02), w_budget=3.0)
+        losses = IIDLosses([UniformArm(0, 1)] * m, (0.0, 1.0))
+        return run_game(config, losses, ConstantFeedback(matrix), 300, seed=4), matrix
+
+    @staticmethod
+    def definition(tr, matrix):
+        rows = []
+        for t in range(tr.horizon):
+            o = observation_probabilities(matrix, tr.q[t])
+            at = np.flatnonzero(tr.indicators[t])
+            rows.append((tr.losses[t, at] - tr.psi[t]) / o[at])
+        return np.concatenate(rows)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_stored_estimate_is_its_definition(self, kind):
+        tr, matrix = self.game(kind)
+        assert (tr.phi_revealed > 0.0).any()
+        assert self.definition(tr, matrix).tobytes() == tr.phi_revealed.tobytes()
+
+    def test_an_estimate_wrong_on_two_rounds_in_three_fails_it(self, monkeypatch):
+        real = learner.estimate
+        rounds = itertools.count()
+
+        def wrong(observed, revealed, o, psi_new):
+            phi = real(observed, revealed, o, psi_new)
+            return phi if next(rounds) % 3 == 0 else phi * 1.5
+
+        monkeypatch.setattr(learner, "estimate", wrong)
+        for kind in self.KINDS:
+            tr, matrix = self.game(kind)
+            assert self.definition(tr, matrix).tobytes() != tr.phi_revealed.tobytes()
+
+
+class TestRevealPaths:
+    """A round that reveals one loss reads it on a scalar path. The same
+    game with the learner forced onto the general index-array path every
+    round, and with the identity mark taken off its matrices, writes the
+    same bytes."""
+
+    @staticmethod
+    def unmarked(matrix):
+        copy = FeedbackMatrix(matrix.entries, matrix.mode)
+        object.__setattr__(copy, "_identity", False)
+        return copy
+
+    @staticmethod
+    def signed_zero_losses(m, horizon, rng):
+        # round 1's +0.0 losses set psi to +0.0, so a later -0.0 loss
+        # gives a -0.0 estimate
+        values = rng.uniform(size=(horizon, m))
+        values[rng.random((horizon, m)) < 0.3] = 0.0
+        values[rng.random((horizon, m)) < 0.3] = -0.0
+        values[0] = 0.0
+        return ScriptedLosses(values, (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "case", ["m1", "m2", "m5", "strict_rounds", "signed_zeros_m1", "signed_zeros_m3"]
+    )
+    def test_both_paths_write_the_same_transcript(self, case, monkeypatch):
+        m = {"m1": 1, "m5": 5, "signed_zeros_m1": 1, "signed_zeros_m3": 3}.get(case, 2)
+        horizon, rng = 200, np.random.default_rng(31)
+        losses = (self.signed_zero_losses(m, horizon, rng) if case.startswith("signed")
+                  else IIDLosses([UniformArm(0, 1)] * m, (0.0, 1.0)))
+        matrices = [identity_feedback(m)] * horizon
+        if case == "strict_rounds":  # every third round reveals each loss with probability 1/2
+            half = FeedbackMatrix(np.full((2, 2), 0.5))
+            matrices = [half if t % 3 == 2 else matrices[t] for t in range(horizon)]
+        config = LearnerConfig(kernel=fixed_share_kernel(m, 0.05 if m > 1 else 0.0), w_budget=2.0)
+        scalar_rounds = [0]
+        real_update_rate = learner.update_rate
+
+        def recording_update_rate(state, phi, p, config, observed=None):
+            scalar_rounds[-1] += isinstance(observed, int)
+            return real_update_rate(state, phi, p, config, observed)
+
+        def general_path(matrix, selected, indicators):
+            return indicators.nonzero()[0]
+
+        monkeypatch.setattr(learner, "update_rate", recording_update_rate)
+        scalar = run_game(config, losses, ScriptedFeedback(matrices), horizon, 7)
+        monkeypatch.setattr(learner, "revealed_indices", general_path)
+        scalar_rounds.append(0)
+        unmarked = [self.unmarked(x) if x._identity else x for x in matrices]
+        general = run_game(config, losses, ScriptedFeedback(unmarked), horizon, 7)
+        reveals = scalar.indicators.sum(axis=1)
+        assert scalar_rounds == [int((reveals == 1).sum()), 0]
+        assert transcript_bytes(scalar) == transcript_bytes(general)
+        if case == "strict_rounds":  # strict rounds reveal none, one and two losses
+            assert {0, 1, 2} <= set(reveals[2::3].tolist())
+        if case.startswith("signed"):
+            estimates = scalar.phi_revealed
+            assert (np.signbit(estimates) & (estimates == 0.0)).any()
+            assert (~np.signbit(estimates) & (estimates == 0.0)).any()
 
 
 class TestBestCompetitor:

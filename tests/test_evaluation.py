@@ -423,10 +423,9 @@ class TestTranscriptColumns:
         p, o, phi = np.empty((3, horizon, m))
         reveals = np.empty(horizon, dtype=int)
         for i in range(horizon):
-            row = losses[i].tolist()
             matrix = feedback_process.matrix_at(i + 1)
             ctx, _, indicators, phi[i], _, state = step(
-                state, config, matrix, row.__getitem__, rng
+                state, config, matrix, losses[i].__getitem__, rng
             )
             p[i], o[i] = ctx.p, ctx.o
             reveals[i] = indicators.sum()

@@ -36,7 +36,7 @@ def play(config, matrix, losses, seed=0):
     rounds = []
     for t in range(losses.shape[0]):
         row = losses[t]
-        result = step(state, config, matrix, lambda m: row[m], rng)
+        result = step(state, config, matrix, lambda observed: row[observed], rng)
         state = result[-1]
         rounds.append(result)
     return rounds, state
@@ -108,24 +108,33 @@ class TestSelect:
 
 class TestEstimate:
     def test_unobserved_is_zero(self):
-        phi = estimate(np.array([0, 1]), np.array([0.7]), np.array([0.5, 0.5]), 0.7)
+        phi = estimate(np.array([1]), np.array([0.7]), np.array([0.5, 0.5]), 0.7)
         assert phi[0] == 0.0
 
     def test_minimum_attains_zero(self):
-        phi = estimate(np.array([1, 0]), np.array([0.4]), np.array([0.8, 0.2]), 0.4)
+        phi = estimate(np.array([0]), np.array([0.4]), np.array([0.8, 0.2]), 0.4)
         np.testing.assert_allclose(phi, [0.0, 0.0])
 
     def test_hand_value(self):
-        phi = estimate(np.array([1, 0]), np.array([0.8]), np.array([0.5, 0.5]), 0.2)
+        phi = estimate(np.array([0]), np.array([0.8]), np.array([0.5, 0.5]), 0.2)
         assert phi[0] == pytest.approx(1.2, rel=1e-12)
 
     def test_revealed_must_match_indicators(self):
-        with pytest.raises(ValueError):
-            estimate(np.array([1, 1]), np.array([0.3]), np.array([0.5, 0.5]), 0.1)
+        with pytest.raises(ValueError, match="2 indices revealed, 1 losses given"):
+            estimate(np.array([0, 1]), np.array([0.3]), np.array([0.5, 0.5]), 0.1)
 
     def test_zero_observation_probability(self):
-        with pytest.raises(ZeroObservationProbabilityError):
-            estimate(np.array([1, 0]), np.array([0.8]), np.array([0.0, 1.0]), 0.2)
+        with pytest.raises(ZeroObservationProbabilityError, match="expert 1 was observed"):
+            estimate(np.array([0, 1]), np.array([0.8, 0.3]), np.array([1.0, 0.0]), 0.2)
+
+    def test_one_reveal_as_an_int_writes_the_same_entry(self):
+        o = np.array([0.5, 0.25, 0.25])
+        for m, loss in [(0, 0.8), (1, 0.2), (2, -0.0)]:
+            one = estimate(m, loss, o, 0.2 if loss else 0.0)
+            dense = estimate(np.array([m]), np.array([loss]), o, 0.2 if loss else 0.0)
+            assert one.tobytes() == dense.tobytes()
+        with pytest.raises(ZeroObservationProbabilityError, match="expert 0 was observed"):
+            estimate(0, 0.8, np.array([0.0, 1.0]), 0.2)
 
 
 class TestUpdateRate:
@@ -150,6 +159,20 @@ class TestUpdateRate:
         )
         rate = update_rate(state, np.zeros(2), np.array([0.5, 0.5]), config)
         assert rate.eta == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("x", [0.3, 0.0, -0.0, 1e-310, 1e200])
+    def test_one_entry_form_has_the_dense_bits(self, m, x):
+        # phi is +0.0 but at the revealed index; the int form reads only it
+        config = bandit_config(m, gamma=1.0)
+        p = np.random.default_rng(m).dirichlet(np.ones(m))
+        for at in range(m):
+            phi = np.zeros(m)
+            phi[at] = x
+            one = update_rate(init_state(config), phi, p, config, at)
+            with np.errstate(over="ignore"):  # x * x overflows at 1e200
+                dense = update_rate(init_state(config), phi, p, config)
+            assert np.array(one, dtype=float).tobytes() == np.array(dense, dtype=float).tobytes()
 
     def test_fixed_eta_short_circuits(self):
         config = bandit_config(2, fixed_eta=0.123)
@@ -230,15 +253,15 @@ class TestStep:
             queried = []
             row = losses[t]
 
-            def oracle(m):
-                queried.append(m)
-                return row[m]
+            def oracle(observed):
+                queried.append(observed)
+                return row[observed]
 
             _, _, indicators, _, _, state = step(state, config, matrix, oracle, play_rng)
-            revealed = set(int(i) for i in np.flatnonzero(indicators))
-            assert set(queried) == revealed
-            assert len(queried) == len(revealed)
-            total_queried += len(queried)
+            (observed,) = queried  # one query per round, an int if it reveals one loss
+            assert (type(observed) is int) == (indicators.sum() == 1)
+            assert np.atleast_1d(observed).tolist() == np.flatnonzero(indicators).tolist()
+            total_queried += np.size(observed)
             total_observed += int(indicators.sum())
         assert total_queried == total_observed
 
@@ -430,8 +453,7 @@ class TestRoundOffAmplification:
                 weights = state.weights.copy()
                 weights[weights.argmin()] *= 1.0 + 1e-13
                 state = dataclasses.replace(state, weights=weights)
-            row = losses[i].tolist()
-            ctx, _, _, _, rate, state = step(state, config, matrix, row.__getitem__, rng)
+            ctx, _, _, _, rate, state = step(state, config, matrix, losses[i].__getitem__, rng)
             q[i] = ctx.q
             if i == self.CHANGED - 1:
                 eta = rate.eta

@@ -84,9 +84,7 @@ class TestExactExpectedRegret:
         state0 = init_state(config)
         ctx1 = prepare_round(state0, config, matrix)
         for i in range(2):
-            _, _, state1 = finish_round(
-                state0, config, ctx1, np.array([1, 1], dtype=np.int8), losses[0]
-            )
+            _, _, state1 = finish_round(state0, config, ctx1, np.arange(2), losses[0])
             ctx2 = prepare_round(state1, config, matrix)
             for j in range(2):
                 expected += ctx1.q[i] * ctx2.q[j] * (losses[0, i] + losses[1, j])
