@@ -11,6 +11,7 @@ that round by round.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -335,26 +336,9 @@ def run_game(
     return tr
 
 
-# The k-switch DP runs on Python floats or as one numpy step per round over
-# all budgets, whichever is cheaper at (M, k). Per call at T = 3000 (min of
-# 21 calls, float/array ms; 2-vCPU VM, Python 3.11.7, numpy 2.4.6):
-#   k \ M      4          16          32          64         128
-#   0      2.8/2.9    4.5/2.9     6.5/2.8    11.6/3.0    20.9/3.2
-#   1      5.0/19.8   8.9/18.7   14.2/19.6   24.6/20.3   50.1/22.1
-#   2      7.4/21.2  14.0/21.1   22.7/21.1   41.0/21.0   73.1/21.7
-#   3      8.5/21.2  16.9/19.3   28.3/20.7   52.5/23.2  100.9/25.3
-#   5     13.0/21.7  25.8/20.8   43.2/21.1   78.7/23.4  176.1/30.0
-#   8     19.3/21.1  39.2/22.4   71.7/24.6  129.6/28.4  256.2/36.2
-# The forms meet near M = 5, 50, 29, 20, 12 and 5 at k = 0, 1, 2, 3, 5 and
-# 8. The float costs below (in µs per round) come from an earlier table on
-# the same kind of VM, where the float form ran 1.45 times faster; the array
-# costs are this table's divided by that ratio. They put the crossovers at
-# M = 5, 48, 29, 20, 11 and 5, so the float form plays below 48 experts at
-# every budget and the array form every wider game.
-def _float_dp_is_faster(m: int, k: int) -> bool:
-    float_us = 0.47 + 0.28 * k + (0.034 + 0.048 * k) * m
-    array_us = 0.63 if k == 0 else 4.5 + 0.0035 * k * m
-    return float_us < array_us
+# cells per block of the k-switch DP: each of its two block buffers takes
+# about 32 KiB, small beside the one-byte switch mask of a wide game
+_DP_BLOCK_CELLS = 1 << 12
 
 
 def best_competitor(
@@ -362,30 +346,31 @@ def best_competitor(
 ) -> CompetitorSequence:
     """Loss-minimizing expert sequence with at most ``max_switches`` switches,
     by dynamic programming over (round, arm, switch budget). Hindsight
-    machinery only; the losses must be finite. Ties resolve to the lowest
-    arm index, and among equal totals to the smallest budget.
+    machinery only; the losses must be a finite (T, M) matrix, T >= 1 and M
+    the kernel's expert count. Ties resolve to the lowest arm index, and
+    among equal totals to the smallest budget.
 
-    ``cost[j][a]`` is the best total so far ending at arm ``a`` with at most
-    ``j`` switches. Each round, arm ``a`` with budget ``j`` switches in from
-    the first best arm of budget ``j - 1`` when that is strictly cheaper
-    than staying, and then adds the round's loss. The best arm itself never
-    switches in: ``cost[j] <= cost[j - 1]`` holds elementwise by induction
-    (rounding is monotone), so staying costs it at most the best value.
-    Both forms make the same float additions and deciding comparisons, so
-    they return the same path.
+    Arm ``a`` with budget ``j`` switches in at round ``t`` from the first
+    best arm of budget ``j - 1`` at round ``t - 1`` when that is strictly
+    cheaper than staying, and then adds the round's loss. The totals are
+    cumulative losses plus offsets, not a round-by-round fold, so paths
+    whose totals lie within rounding of the cumulative losses may tie
+    either way; on small integer or dyadic losses the DP is exact.
     """
     losses = np.asarray(losses, dtype=float)
-    horizon, m = losses.shape
-    if max_switches < 0:
-        raise EnvironmentError_("switch budget must be nonnegative")
+    if losses.ndim != 2 or not losses.shape[0] or losses.shape[1] != kernel.n_experts:
+        raise EnvironmentError_(f"competitor losses must be T >= 1 rounds by "
+                                f"{kernel.n_experts} experts, got shape {losses.shape}")
+    k = max_switches
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise EnvironmentError_(f"switch budget must be a nonnegative integer, got {k!r}")
     # NaN fails both comparisons; no (T, M) temporary
     if not (-math.inf < losses.min() and losses.max() < math.inf):
         raise EnvironmentError_("competitor losses must be finite")
-    k = min(max_switches, horizon - 1)
-    dp = _float_dp if _float_dp_is_faster(m, k) else _array_dp
+    horizon = losses.shape[0]
     # switched[t, j - 1, a]: arm a with budget j switched in at round t,
     # from source[t, j - 1], the first best arm of budget j - 1
-    switched, source, j, arm = dp(losses, k)
+    switched, source, j, arm = _layer_dp(losses, min(int(k), horizon - 1))
     path = np.empty(horizon, dtype=int)
     for t in range(horizon - 1, 0, -1):
         path[t] = arm
@@ -396,51 +381,41 @@ def best_competitor(
     return CompetitorSequence.from_experts(path, kernel)
 
 
-def _float_dp(losses: np.ndarray, k: int):
+def _layer_dp(losses: np.ndarray, k: int):
+    """The k-switch DP, each budget layer in whole-block passes. From a
+    virtual round before round 0, where every total is 0, layer ``j`` is
+    ``L + G``: ``L`` sums the losses, and ``G[t]`` is the running
+    minimum of ``best[t - 1] - L[t - 1]``, with ``best`` layer ``j - 1``'s
+    row minimum. ``G`` falls where switching in is strictly cheaper than
+    staying. Row 0 of a block carries the round before it. Layer ``j``'s
+    totals overwrite its ``G``, and layer ``j + 1`` reads them before it
+    writes its own."""
     horizon, m = losses.shape
-    cost = [losses[0].tolist() for _ in range(k + 1)]
-    switched = bytearray(horizon * k * m)
-    source = array(np.min_scalar_type(m - 1).char, [0]) * (horizon * k)
-    for t in range(1, horizon):
-        row = losses[t].tolist()
-        # descending budgets read cost[j - 1] before it takes round t
-        for j in range(k, 0, -1):
-            prev = cost[j - 1]
-            best_v = min(prev)
-            at = t * k + j - 1
-            source[at] = prev.index(best_v)
-            at *= m
-            c = cost[j]
-            for a in range(m):
-                x = c[a]
-                if best_v < x:
-                    x = best_v
-                    switched[at + a] = 1
-                c[a] = x + row[a]
-        cost[0] = [x + r for x, r in zip(cost[0], row)]
-    mins = [min(c) for c in cost]
-    j = mins.index(min(mins))
-    switched = np.frombuffer(switched, dtype=bool).reshape(horizon, k, m)
-    source = np.frombuffer(source, dtype=source.typecode).reshape(horizon, k)
-    return switched, source, j, cost[j].index(mins[j])
-
-
-def _array_dp(losses: np.ndarray, k: int):
-    horizon, m = losses.shape
-    cost = np.tile(losses[0], (k + 1, 1))
-    switched = np.zeros((horizon, k, m), dtype=bool)
-    source = np.zeros((horizon, k), dtype=np.min_scalar_type(m - 1))
-    head, tail = cost[:-1], cost[1:]  # views; tail is written in place
-    rows = np.arange(k)
-    for t in range(1, horizon):
-        if k:
-            best = source[t] = head.argmin(axis=1)
-            best_v = head[rows, best][:, None]  # a copy, taken before tail moves
-            np.less(best_v, tail, out=switched[t])
-            np.copyto(tail, best_v, where=switched[t])
-        cost += losses[t]
-    j = int(cost.min(axis=1).argmin())
-    return switched, source, j, int(cost[j].argmin())
+    rows = min(horizon, max(1, _DP_BLOCK_CELLS // m))
+    switched = np.empty((horizon, k, m), dtype=bool)
+    source = np.empty((horizon, k), dtype=np.min_scalar_type(m - 1))
+    total, gap = np.zeros((2, rows + 1, m))
+    last_gap = np.zeros((k + 1, m))  # each layer's G at the last round played
+    for t0 in range(0, horizon, rows):
+        n = min(rows, horizon - t0)
+        L, G, at = total[: n + 1], gap[: n + 1], slice(t0, t0 + n)
+        L[1:] = losses[at]
+        np.add.accumulate(L, axis=0, out=L)
+        layer = L
+        for j in range(1, k + 1):
+            prev = layer[:n]
+            source[at, j - 1] = prev.argmin(axis=1)
+            best = prev.min(axis=1)[:, None]
+            G[0] = last_gap[j]
+            np.subtract(best, L[:n], out=G[1:])
+            np.minimum.accumulate(G, axis=0, out=G)
+            np.less(G[1:], G[:-1], out=switched[at, j - 1])
+            last_gap[j] = G[n]
+            layer = np.add(L, G, out=G)
+        total[0] = L[n]
+    final = total[0] + last_gap
+    j = int(final.min(axis=1).argmin())
+    return switched, source, j, int(final[j].argmin())
 
 
 @dataclass(frozen=True)

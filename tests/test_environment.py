@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from partialmix.classnet import fixed_kernel, fixed_share_kernel
 from partialmix.environment import (
@@ -19,9 +22,7 @@ from partialmix.environment import (
     ScriptedFeedback,
     ScriptedLosses,
     UniformArm,
-    _array_dp,
-    _float_dp,
-    _float_dp_is_faster,
+    _layer_dp,
     bandit_feedback,
     best_competitor,
     full_feedback_process,
@@ -34,7 +35,7 @@ from partialmix.feedback import (
     identity_feedback,
     observation_probabilities,
 )
-from partialmix import learner
+from partialmix import environment, learner
 from partialmix.learner import LearnerConfig, ZeroObservationProbabilityError
 
 
@@ -482,27 +483,53 @@ class TestBestCompetitor:
             assert got.n_switches <= k
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("m", [4, 256])  # the float and the array form
+    @pytest.mark.parametrize("m", [4, 256])  # the two benchmark widths
     def test_non_finite_losses_rejected(self, m, bad):
         losses = np.full((10, m), 0.5)
         losses[4, m - 1] = bad
         with pytest.raises(EnvironmentError_, match="must be finite"):
             best_competitor(losses, fixed_kernel(m), 2)
 
-    @pytest.mark.parametrize("dp, horizon", [(_float_dp, 200), (_array_dp, 600)])
-    def test_narrow_dp_keeps_near_one_byte_per_cell(self, dp, horizon):
+    # budgets near T at M = 4, and the wide-switching-run shape
+    @pytest.mark.parametrize("m, horizon, k", [(4, 200, 199), (4, 600, 599), (256, 3000, 2)])
+    def test_narrow_dp_keeps_near_one_byte_per_cell(self, m, horizon, k):
         # the switch mask is one byte per (round, budget, arm); the source
         # arm of each (round, budget) is one more byte below 257 experts,
-        # a quarter of the mask at M = 4, and the cost rows are small
-        m, k = 4, horizon - 1
+        # a quarter of the mask at M = 4; the block buffers and the carried
+        # last row of each budget are small
         losses = np.random.default_rng(3).uniform(size=(horizon, m))
         tracemalloc.start()
         try:
-            dp(losses, k)
+            _layer_dp(losses, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * horizon * k * m
+
+    @pytest.mark.parametrize(
+        "losses",
+        [
+            np.array([[1.0, 0], [0, 1], [1, 0]]),  # narrower than the kernel
+            np.zeros((3, 5)),  # wider
+            np.zeros((0, 4)),  # no round
+            np.zeros(4),
+            np.zeros((2, 2, 4)),
+        ],
+        ids=["narrow", "wide", "no-round", "1-d", "3-d"],
+    )
+    def test_malformed_losses_rejected(self, losses):
+        with pytest.raises(EnvironmentError_, match="rounds by 4 experts"):
+            best_competitor(losses, fixed_kernel(4), 1)
+
+    @pytest.mark.parametrize("budget", [-1, True, False, 1.0, "2", None])
+    def test_switch_budget_must_be_a_nonnegative_int(self, budget):
+        with pytest.raises(EnvironmentError_, match="switch budget"):
+            best_competitor(np.eye(3), fixed_kernel(3), budget)
+
+    def test_numpy_integer_budget(self):
+        losses = np.random.default_rng(4).uniform(size=(20, 3))
+        got = best_competitor(losses, fixed_kernel(3), np.int64(2))
+        np.testing.assert_array_equal(got.experts, best_competitor(losses, fixed_kernel(3), 2).experts)
 
     def test_loss_nonincreasing_in_switch_budget(self):
         rng = np.random.default_rng(11)
@@ -516,9 +543,10 @@ class TestBestCompetitor:
 
 
 def reference_best_path(losses, max_switches):
-    """The k-switch DP as it stood before its float and array forms: one
-    numpy call per (round, budget) step. Kept here as the differential
-    reference; both forms must return its path exactly."""
+    """The k-switch DP as a plain round-by-round fold: one numpy call per
+    (round, budget) step, with the switch from the best arm of budget
+    ``j - 1`` to itself ruled out. Kept here as the differential reference
+    for ``best_competitor``."""
     horizon, m = losses.shape
     k = min(max_switches, horizon - 1)
     cost = np.tile(losses[0], (k + 1, 1))
@@ -555,19 +583,24 @@ def reference_best_path(losses, max_switches):
     return path
 
 
-def first_array_m(k):
-    """The smallest expert count at which the DP takes its array form."""
-    return next(m for m in range(1, 256) if not _float_dp_is_faster(m, k))
+# mid-width games, an odd and an even expert count
+WIDE_ODD, WIDE_EVEN = 47, 48
 
 
-# wide fixed cases, on both sides of M = 48
-BELOW, AT = 47, 48
+@st.composite
+def k_switch_games(draw, elements):
+    """A (T, M) loss matrix, a switch budget, and the DP's block size in
+    cells; 7 and 64 put block edges inside these short games."""
+    horizon, m = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    losses = draw(arrays(np.float64, (horizon, m), elements=elements))
+    return losses, draw(st.integers(0, 5)), draw(st.sampled_from([7, 64, 1 << 12]))
 
 
 class TestBestCompetitorDifferential:
-    """Both forms of the DP against the reference, on continuous losses and
-    on small integers, where equal totals are common and the tie rules
-    (lowest arm, then smallest budget) decide the path."""
+    """The DP against the reference, on continuous losses and on small
+    integers, where equal totals are common and the tie rules (lowest arm,
+    then smallest budget) decide the path. Blocks hold 2^12 cells, so 1,024
+    rounds at M = 4, 13 at M = 300, 2 at M = 2048 and 1 at M = 4096."""
 
     @staticmethod
     def losses(kind, horizon, m, seed):
@@ -580,44 +613,50 @@ class TestBestCompetitorDifferential:
         got = best_competitor(losses, fixed_kernel(losses.shape[1]), k)
         np.testing.assert_array_equal(got.experts, reference_best_path(losses, k))
 
-    def test_crossover_splits_the_cases(self):
-        # the crossover moves with the switch budget, and the array form
-        # plays every game of 255 experts or more at every budget
-        bounds = [first_array_m(k) for k in range(200)]
-        assert bounds[0] < bounds[5] < bounds[2] < bounds[1] <= 254
-        assert not any(_float_dp_is_faster(m, k) for m in (255, 256, 1024) for k in range(200))
-
-    def test_benchmark_workloads_keep_their_forms(self):
-        assert _float_dp_is_faster(4, 2)  # the shipped switching config
-        assert _float_dp_is_faster(2, 0) and _float_dp_is_faster(4, 0)  # validate's best_fixed
-        assert not _float_dp_is_faster(256, 2)  # the wide switching run
-
-    @pytest.mark.parametrize("kind", ["continuous", "integer"])
-    @pytest.mark.parametrize("k", [0, 1, 5])
-    def test_matches_reference_at_the_crossover(self, kind, k):
-        last_float = first_array_m(k) - 1
-        assert _float_dp_is_faster(last_float, k)
-        for m in (last_float, last_float + 1):
-            for horizon in (k + 1, 90):
-                self.check(self.losses(kind, horizon, m, seed=horizon * 1000 + m * 10 + k), k)
-
     @pytest.mark.parametrize("kind", ["continuous", "integer"])
     @pytest.mark.parametrize(
         "horizon, m, k",
         [
-            (1, 1, 0), (1, 4, 3), (1, AT, 2),  # one round
+            (1, 1, 0), (1, 4, 3), (1, WIDE_EVEN, 2),  # one round
             (7, 1, 3), (40, 1, 0),  # one expert
-            (60, 4, 0), (60, AT, 0),  # no switch
-            (6, 3, 10), (6, AT, 5), (6, BELOW, 6),  # budget at or past T - 1
+            (60, 4, 0), (60, WIDE_EVEN, 0),  # no switch
+            (6, 3, 10), (6, WIDE_EVEN, 5), (6, WIDE_ODD, 6),  # budget at or past T - 1
             (300, 2, 1), (300, 4, 2), (200, 7, 5),
-            (120, BELOW, 2), (120, AT, 2), (80, 64, 3),
+            (120, WIDE_ODD, 2), (120, WIDE_EVEN, 2), (80, 64, 3),
             (60, 256, 2), (40, 300, 3),  # source arms past 255
+            (200, 300, 2), (104, 300, 3), (105, 300, 3),  # 13-round blocks
+            (4096, 4, 2), (4097, 4, 2),  # whole blocks, and one round more
+            (9, 2048, 2), (9, 4096, 2),  # blocks of two rounds and of one
         ],
     )
     def test_matches_reference(self, kind, horizon, m, k):
         self.check(self.losses(kind, horizon, m, seed=horizon * 1000 + m * 10 + k), k)
 
-    @pytest.mark.parametrize("m", [2, 3, 5, BELOW, AT])
+    def test_block_sizes_of_the_cases_above(self):
+        assert [environment._DP_BLOCK_CELLS // m for m in (4, 300, 2048, 4096)] == [1024, 13, 2, 1]
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(k_switch_games(st.integers(0, 3).map(float)))
+    def test_integer_losses_take_the_reference_path(self, game):
+        losses, k, cells = game
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(environment, "_DP_BLOCK_CELLS", cells)
+            self.check(losses, k)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(k_switch_games(st.floats(0.0, 1.0)))
+    def test_float_losses_reach_the_reference_optimum(self, game):
+        # totals within rounding of the cumulative losses may tie either way
+        losses, k, cells = game
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(environment, "_DP_BLOCK_CELLS", cells)
+            got = best_competitor(losses, fixed_kernel(losses.shape[1]), k)
+        rounds = np.arange(len(losses))
+        assert got.n_switches <= k
+        best = losses[rounds, reference_best_path(losses, k)].sum()
+        assert losses[rounds, got.experts].sum() == pytest.approx(best, abs=1e-12 * losses.sum())
+
+    @pytest.mark.parametrize("m", [2, 3, 5, WIDE_ODD, WIDE_EVEN])
     def test_random_tie_heavy(self, m):
         rng = np.random.default_rng(m)
         for _ in range(15):
@@ -635,7 +674,7 @@ class TestBestCompetitorDifferential:
         seq = best_competitor(losses, fixed_kernel(m), 1)
         np.testing.assert_array_equal(seq.experts, [m - 1] * 3 + [0] * 3)
 
-    @pytest.mark.parametrize("m", [4, AT])
+    @pytest.mark.parametrize("m", [4, WIDE_EVEN])
     def test_all_equal_losses_stay_on_the_first_arm(self, m):
         losses = np.full((25, m), 0.5)
         self.check(losses, 3)
